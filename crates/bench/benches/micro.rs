@@ -90,7 +90,8 @@ fn bench_simulator(c: &mut Criterion) {
 fn bench_linalg(c: &mut Criterion) {
     use robotune_linalg::{Cholesky, Matrix};
     let mut g = c.benchmark_group("linalg");
-    for n in [20usize, 100] {
+    // 60 is the kernel size mid-way through a budget-100 session.
+    for n in [20usize, 60, 100] {
         let mut rng = rng_from_seed(7);
         use rand::Rng;
         let b = Matrix::from_fn(n, n, |_, _| rng.gen::<f64>() - 0.5);
@@ -102,6 +103,9 @@ fn bench_linalg(c: &mut Criterion) {
         let ch = Cholesky::factor(&a).unwrap();
         let rhs: Vec<f64> = (0..n).map(|i| i as f64).collect();
         g.bench_function(format!("chol_solve_{n}"), |bch| bch.iter(|| ch.solve(&rhs)));
+        g.bench_function(format!("chol_solve_lower_{n}"), |bch| {
+            bch.iter(|| ch.solve_lower(&rhs))
+        });
     }
     g.finish();
 }

@@ -47,16 +47,31 @@ impl Matern52 {
     }
 }
 
+/// `√5 · ‖a − b‖` from the squared distance — the hyperparameter-free
+/// half of the Matérn 5/2 argument, which [`crate::PreparedData`] caches
+/// per training pair.
+#[inline]
+pub fn sqrt5_dist(d2: f64) -> f64 {
+    5.0_f64.sqrt() * d2.sqrt()
+}
+
 impl Matern52 {
     /// Covariance as a function of the *squared* Euclidean distance.
-    ///
-    /// This is the distance-cache entry point: [`Kernel::eval`] delegates
-    /// here, so evaluating from a precomputed `‖a − b‖²` is bit-identical
-    /// to evaluating from the coordinates.
+    /// [`Kernel::eval`] delegates here.
     #[inline]
     pub fn eval_sq_dist(&self, d2: f64) -> f64 {
-        let r = d2.sqrt();
-        let s = 5.0_f64.sqrt() * r / self.length_scale;
+        self.eval_sqrt5_dist(sqrt5_dist(d2))
+    }
+
+    /// Covariance as a function of `r5 = √5 · ‖a − b‖` ([`sqrt5_dist`]).
+    ///
+    /// This is the distance-cache entry point: [`Matern52::eval_sq_dist`]
+    /// computes `s = (√5 · r) / ℓ` through it, so evaluating from a cached
+    /// `r5` is bit-identical to evaluating from the coordinates, minus a
+    /// square root and a multiply per pair.
+    #[inline]
+    pub fn eval_sqrt5_dist(&self, r5: f64) -> f64 {
+        let s = r5 / self.length_scale;
         self.variance * (1.0 + s + s * s / 3.0) * (-s).exp()
     }
 }

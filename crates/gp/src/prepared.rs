@@ -12,15 +12,15 @@
 //! re-standardisation, no model construction.
 //!
 //! Every cached evaluation is **bit-identical** to the direct one: the
-//! kernels' [`Kernel::eval`] implementations delegate to the same
-//! distance-based entry points this module feeds from the cache, so a
-//! fixed seed replays the exact same hyperparameter trajectory whether or
-//! not the cache is used.
+//! kernels' [`Kernel::eval`] implementations compute the same
+//! hyperparameter-free pair statistic this module caches and pass it
+//! through the same entry point, so a fixed seed replays the exact same
+//! hyperparameter trajectory whether or not the cache is used.
 
 use robotune_linalg::{sq_dist, Cholesky, Matrix};
 
 use crate::error::GpError;
-use crate::kernel::{Kernel, Matern52, Matern52Ard, SquaredExp};
+use crate::kernel::{sqrt5_dist, Kernel, Matern52, Matern52Ard};
 
 /// Kernels that can evaluate a training-pair covariance from
 /// [`PreparedData`]'s cached pairwise statistics.
@@ -33,36 +33,42 @@ pub trait CachedKernel: Kernel {
 
 impl CachedKernel for Matern52 {
     fn eval_cached(&self, data: &PreparedData, i: usize, j: usize) -> f64 {
-        self.eval_sq_dist(data.d2[(i, j)])
-    }
-}
-
-impl CachedKernel for SquaredExp {
-    fn eval_cached(&self, data: &PreparedData, i: usize, j: usize) -> f64 {
-        self.eval_sq_dist(data.d2[(i, j)])
+        match &data.pairs {
+            Pairs::Isotropic(r5) => self.eval_sqrt5_dist(r5[(i, j)]),
+            // Prepared for ARD (see [`PreparedData::prepare_ard`]): fall
+            // back to the direct evaluation — correct, just uncached.
+            Pairs::Ard(_) => self.eval(&data.x[i], &data.x[j]),
+        }
     }
 }
 
 impl CachedKernel for Matern52Ard {
     fn eval_cached(&self, data: &PreparedData, i: usize, j: usize) -> f64 {
-        if data.diffs.len() == self.length_scales.len() {
-            let r2: f64 = data
-                .diffs
-                .iter()
-                .zip(&self.length_scales)
-                .map(|(m, &l)| {
-                    let d = m[(i, j)] / l;
-                    d * d
-                })
-                .sum();
-            self.eval_scaled_sq_dist(r2)
-        } else {
-            // Prepared without per-dimension differences (see
-            // [`PreparedData::prepare_ard`]): fall back to the direct
-            // evaluation — still correct, just uncached.
-            self.eval(&data.x[i], &data.x[j])
+        match &data.pairs {
+            Pairs::Ard(diffs) if diffs.len() == self.length_scales.len() => {
+                let r2: f64 = diffs
+                    .iter()
+                    .zip(&self.length_scales)
+                    .map(|(m, &l)| {
+                        let d = m[(i, j)] / l;
+                        d * d
+                    })
+                    .sum();
+                self.eval_scaled_sq_dist(r2)
+            }
+            _ => self.eval(&data.x[i], &data.x[j]),
         }
     }
+}
+
+/// The hyperparameter-free pair statistics of one training set
+/// (lower triangle, `j < i`; the diagonal stays zero).
+#[derive(Debug, Clone)]
+enum Pairs {
+    /// `√5 · ‖x_i − x_j‖`, the isotropic Matérn argument before `/ ℓ`.
+    Isotropic(Matrix),
+    /// Per-dimension signed differences `x_i[k] − x_j[k]`.
+    Ard(Vec<Matrix>),
 }
 
 /// Precomputed quantities of a fixed training set, reused across all
@@ -70,12 +76,7 @@ impl CachedKernel for Matern52Ard {
 #[derive(Debug, Clone)]
 pub struct PreparedData {
     pub(crate) x: Vec<Vec<f64>>,
-    /// Pairwise squared Euclidean distances (lower triangle, `j < i`;
-    /// the diagonal stays zero).
-    d2: Matrix,
-    /// Per-dimension signed differences `x_i[k] − x_j[k]` (lower
-    /// triangle), present only for ARD fits.
-    diffs: Vec<Matrix>,
+    pairs: Pairs,
     pub(crate) y_norm: Vec<f64>,
     pub(crate) y_mean: f64,
     pub(crate) y_std: f64,
@@ -83,7 +84,7 @@ pub struct PreparedData {
 
 impl PreparedData {
     /// Validates and preprocesses a training set for isotropic kernels:
-    /// standardised targets plus the pairwise squared-distance cache.
+    /// standardised targets plus the pairwise `√5 · ‖x_i − x_j‖` cache.
     ///
     /// Returns the same typed [`GpError::InvalidInput`] cases as
     /// [`crate::model::GpModel::fit`].
@@ -91,8 +92,8 @@ impl PreparedData {
         Self::new(x, y, false)
     }
 
-    /// Like [`PreparedData::prepare`], additionally caching the
-    /// per-dimension differences an ARD kernel needs.
+    /// Like [`PreparedData::prepare`], but caching the per-dimension
+    /// differences an ARD kernel needs instead of the isotropic distances.
     pub fn prepare_ard(x: Vec<Vec<f64>>, y: &[f64]) -> Result<Self, GpError> {
         Self::new(x, y, true)
     }
@@ -114,33 +115,20 @@ impl PreparedData {
         let y_std = if var > 0.0 { var.sqrt() } else { 1.0 };
         let y_norm: Vec<f64> = y.iter().map(|&v| (v - y_mean) / y_std).collect();
 
-        let mut d2 = Matrix::zeros(n, n);
-        for i in 0..n {
-            for j in 0..i {
-                d2[(i, j)] = sq_dist(&x[i], &x[j]);
-            }
-        }
-        let diffs = if with_diffs {
+        let pairs = if with_diffs {
             let dim = x[0].len();
-            (0..dim)
-                .map(|k| {
-                    let mut m = Matrix::zeros(n, n);
-                    for i in 0..n {
-                        for j in 0..i {
-                            m[(i, j)] = x[i][k] - x[j][k];
-                        }
-                    }
-                    m
-                })
-                .collect()
+            Pairs::Ard(
+                (0..dim)
+                    .map(|k| lower_triangle(n, |i, j| x[i][k] - x[j][k]))
+                    .collect(),
+            )
         } else {
-            Vec::new()
+            Pairs::Isotropic(lower_triangle(n, |i, j| sqrt5_dist(sq_dist(&x[i], &x[j]))))
         };
 
         Ok(PreparedData {
             x,
-            d2,
-            diffs,
+            pairs,
             y_norm,
             y_mean,
             y_std,
@@ -191,6 +179,18 @@ impl PreparedData {
         let fit: f64 = self.y_norm.iter().zip(&alpha).map(|(a, b)| a * b).sum();
         Ok(-0.5 * fit - 0.5 * chol.log_det() - 0.5 * n * (2.0 * std::f64::consts::PI).ln())
     }
+}
+
+/// An `n × n` matrix holding `f(i, j)` strictly below the diagonal and
+/// zeros elsewhere.
+fn lower_triangle(n: usize, f: impl Fn(usize, usize) -> f64) -> Matrix {
+    let mut m = Matrix::zeros(n, n);
+    for i in 0..n {
+        for j in 0..i {
+            m[(i, j)] = f(i, j);
+        }
+    }
+    m
 }
 
 /// Factors `k` (lower triangle), escalating a diagonal jitter from

@@ -2,6 +2,39 @@
 
 use crate::{LinalgError, Matrix};
 
+/// Rows eliminated per pass by [`Cholesky::factor`] and
+/// [`Cholesky::solve_lower`].
+const BLOCK: usize = 4;
+
+/// `sums[t] -= Σ_k m[(first + t, k)] · x[k]` over `k < x.len()`, in
+/// ascending `k`: one independent chain per row, all sharing each load of
+/// `x[k]`. Plain multiply-then-subtract (no fused multiply-add), so each
+/// chain rounds exactly like the scalar loop.
+fn sub_dots(sums: &mut [f64], m: &Matrix, first: usize, x: &[f64]) {
+    match sums.len() {
+        4 => chains::<4>(sums, m, first, x),
+        3 => chains::<3>(sums, m, first, x),
+        2 => chains::<2>(sums, m, first, x),
+        rows => {
+            for t in 0..rows {
+                chains::<1>(&mut sums[t..=t], m, first + t, x);
+            }
+        }
+    }
+}
+
+#[inline(always)]
+fn chains<const R: usize>(sums: &mut [f64], m: &Matrix, first: usize, x: &[f64]) {
+    let rows: [&[f64]; R] = std::array::from_fn(|t| &m.row(first + t)[..x.len()]);
+    let mut s: [f64; R] = std::array::from_fn(|t| sums[t]);
+    for (k, &v) in x.iter().enumerate() {
+        for t in 0..R {
+            s[t] -= rows[t][k] * v;
+        }
+    }
+    sums[..R].copy_from_slice(&s);
+}
+
 /// Lower-triangular Cholesky factor `L` with `A = L Lᵀ`.
 ///
 /// This is the numerical core of GP regression: the kernel matrix is
@@ -27,21 +60,64 @@ impl Cholesky {
         assert_eq!(a.rows(), a.cols(), "Cholesky requires a square matrix");
         let n = a.rows();
         let mut l = Matrix::zeros(n, n);
-        for i in 0..n {
-            for j in 0..=i {
-                // sum = A[i][j] - Σ_{k<j} L[i][k] * L[j][k]
-                let mut sum = a[(i, j)];
-                let (li, lj) = (l.row(i), l.row(j));
-                for k in 0..j {
-                    sum -= li[k] * lj[k];
-                }
-                if i == j {
-                    if sum <= 0.0 || !sum.is_finite() {
-                        return Err(LinalgError::NotPositiveDefinite(i));
+        // Rows are eliminated BLOCK at a time: for each column j, every
+        // block row r ≥ j computes
+        //   L[r][j] = (A[r][j] − Σ_{k<j} L[r][k]·L[j][k]) / L[j][j]
+        // (square root instead of division on the diagonal) as its own
+        // dot-product chain, all chains sharing each load of row j. Every
+        // chain still starts from A[r][j] and subtracts its terms in
+        // ascending k, so each entry is bit-identical to the row-by-row
+        // loop, and a failing pivot is reported at the same row.
+        for i0 in (0..n).step_by(BLOCK) {
+            let end = (i0 + BLOCK).min(n);
+            let mut j = 0;
+            if end - i0 == BLOCK {
+                // Full block, columns solved in earlier blocks: two
+                // columns per pass, so each load of L[r][k] feeds two
+                // chains. Column j+1's chain takes its k = j term after
+                // L[r][j] is final, last, as in the row loop.
+                while j + 1 < i0 {
+                    let mut s0: [f64; BLOCK] = std::array::from_fn(|t| a[(i0 + t, j)]);
+                    let mut s1: [f64; BLOCK] = std::array::from_fn(|t| a[(i0 + t, j + 1)]);
+                    let rows: [&[f64]; BLOCK] = std::array::from_fn(|t| &l.row(i0 + t)[..j]);
+                    let (x0, x1) = (&l.row(j)[..j], &l.row(j + 1)[..j]);
+                    for k in 0..j {
+                        let (v0, v1) = (x0[k], x1[k]);
+                        for t in 0..BLOCK {
+                            let lrk = rows[t][k];
+                            s0[t] -= lrk * v0;
+                            s1[t] -= lrk * v1;
+                        }
                     }
-                    l[(i, j)] = sum.sqrt();
-                } else {
-                    l[(i, j)] = sum / l[(j, j)];
+                    let (ljj, lj1j, lj1j1) = (l[(j, j)], l[(j + 1, j)], l[(j + 1, j + 1)]);
+                    for t in 0..BLOCK {
+                        let lrj = s0[t] / ljj;
+                        l[(i0 + t, j)] = lrj;
+                        l[(i0 + t, j + 1)] = (s1[t] - lrj * lj1j) / lj1j1;
+                    }
+                    j += 2;
+                }
+            }
+            for j in j..end {
+                let first = j.max(i0);
+                let mut sums = [0.0; BLOCK];
+                for (s, r) in sums.iter_mut().zip(first..end) {
+                    *s = a[(r, j)];
+                }
+                sub_dots(&mut sums[..end - first], &l, first, &l.row(j)[..j]);
+                let mut rest = &sums[..end - first];
+                if j >= i0 {
+                    let d = rest[0];
+                    if d <= 0.0 || !d.is_finite() {
+                        return Err(LinalgError::NotPositiveDefinite(j));
+                    }
+                    l[(j, j)] = d.sqrt();
+                    rest = &rest[1..];
+                }
+                let ljj = l[(j, j)];
+                let below = end - rest.len();
+                for (r, &s) in (below..end).zip(rest) {
+                    l[(r, j)] = s / ljj;
                 }
             }
         }
@@ -69,13 +145,24 @@ impl Cholesky {
         let n = self.dim();
         assert_eq!(b.len(), n, "solve_lower: rhs length mismatch");
         let mut y = vec![0.0; n];
-        for i in 0..n {
-            let row = self.l.row(i);
-            let mut sum = b[i];
-            for k in 0..i {
-                sum -= row[k] * y[k];
+        // BLOCK rows per pass: the already-solved prefix y[..i0] is
+        // eliminated from all block rows at once (one chain per row,
+        // sharing each load of y[k]), then each chain is finished over
+        // the block's own columns. Per row the terms are still subtracted
+        // from b[i] in ascending k — bit-identical to the row-by-row loop.
+        for i0 in (0..n).step_by(BLOCK) {
+            let end = (i0 + BLOCK).min(n);
+            let mut sums = [0.0; BLOCK];
+            sums[..end - i0].copy_from_slice(&b[i0..end]);
+            sub_dots(&mut sums[..end - i0], &self.l, i0, &y[..i0]);
+            for (i, &partial) in (i0..end).zip(&sums) {
+                let row = self.l.row(i);
+                let mut sum = partial;
+                for k in i0..i {
+                    sum -= row[k] * y[k];
+                }
+                y[i] = sum / row[i];
             }
-            y[i] = sum / row[i];
         }
         y
     }

@@ -115,9 +115,8 @@ impl RandomForest {
     /// whose bootstrap excluded that sample. Samples that were in-bag for
     /// every tree (rare beyond ~20 trees) predict `NaN`.
     ///
-    /// `x` must be the training matrix the forest was fitted on — or a
-    /// column-permuted copy of it, which is exactly how MDA importance
-    /// reuses this method.
+    /// `x` must be the training matrix the forest was fitted on, or a
+    /// column-permuted copy of it.
     pub fn oob_predictions(&self, x: &[Vec<f64>]) -> Vec<f64> {
         assert_eq!(x.len(), self.n_samples, "OOB requires the training rows");
         let mut sums = vec![0.0; self.n_samples];
@@ -130,10 +129,7 @@ impl RandomForest {
                 }
             }
         }
-        sums.iter()
-            .zip(&counts)
-            .map(|(&s, &c)| if c == 0 { f64::NAN } else { s / c as f64 })
-            .collect()
+        oob_average(&sums, &counts)
     }
 
     /// Mean-Decrease-in-Impurity importances: the average of each tree's
@@ -148,18 +144,88 @@ impl RandomForest {
     /// This is the paper's "baseline using the out-of-bag (OOB) R² score"
     /// that each grouped permutation is measured against.
     pub fn oob_r2(&self, x: &[Vec<f64>], y: &[f64]) -> f64 {
-        let preds = self.oob_predictions(x);
-        let mut yt = Vec::with_capacity(y.len());
-        let mut yp = Vec::with_capacity(y.len());
-        for (t, p) in y.iter().zip(&preds) {
-            if !p.is_nan() {
-                yt.push(*t);
-                yp.push(*p);
+        oob_r2_score(y, &self.oob_predictions(x))
+    }
+
+    /// Walks every (tree, OOB sample) pair once on the training rows `x`,
+    /// recording the prediction and the features on its decision path.
+    pub(crate) fn oob_paths(&self, x: &[Vec<f64>]) -> OobPaths {
+        assert_eq!(x.len(), self.n_samples, "OOB requires the training rows");
+        let words = x.first().map_or(0, Vec::len).div_ceil(64);
+        let pairs = self.in_bag.iter().flatten().filter(|&&c| c == 0).count();
+        let mut preds = Vec::with_capacity(pairs);
+        let mut paths = vec![0u64; pairs * words];
+        for (tree, bag) in self.trees.iter().zip(&self.in_bag) {
+            for i in (0..self.n_samples).filter(|&i| bag[i] == 0) {
+                let e = preds.len();
+                let path = &mut paths[e * words..(e + 1) * words];
+                preds.push(tree.predict_row_path(&x[i], path));
             }
         }
-        assert!(!yt.is_empty(), "no OOB samples — too few trees?");
-        metrics::r2_score(&yt, &yp)
+        OobPaths { words, preds, paths }
     }
+
+    /// [`RandomForest::oob_predictions`] of a copy of the training rows
+    /// in which only the columns set in the bitset `changed` may differ:
+    /// a tree is re-walked on `x` only for samples whose recorded path
+    /// tests a changed column; every other term is the recorded
+    /// prediction, which that walk would reproduce exactly. Per sample the
+    /// terms are added in tree order, as in `oob_predictions`, so the
+    /// result is bit-identical to it.
+    pub(crate) fn oob_predictions_changed(
+        &self,
+        paths: &OobPaths,
+        x: &[Vec<f64>],
+        changed: &[u64],
+    ) -> Vec<f64> {
+        assert_eq!(x.len(), self.n_samples, "OOB requires the training rows");
+        let mut sums = vec![0.0; self.n_samples];
+        let mut counts = vec![0u32; self.n_samples];
+        let mut e = 0;
+        for (tree, bag) in self.trees.iter().zip(&self.in_bag) {
+            for i in (0..self.n_samples).filter(|&i| bag[i] == 0) {
+                let path = &paths.paths[e * paths.words..(e + 1) * paths.words];
+                let hit = path.iter().zip(changed).any(|(p, c)| p & c != 0);
+                sums[i] += if hit { tree.predict_row(&x[i]) } else { paths.preds[e] };
+                counts[i] += 1;
+                e += 1;
+            }
+        }
+        oob_average(&sums, &counts)
+    }
+}
+
+/// For every (tree, OOB sample) pair of a fitted forest, in the order
+/// [`RandomForest::oob_predictions`] visits them: that tree's prediction
+/// on the training row, and the features its decision path tests as a
+/// bitset of `words` 64-bit words (so any feature count works).
+pub(crate) struct OobPaths {
+    words: usize,
+    preds: Vec<f64>,
+    paths: Vec<u64>,
+}
+
+/// Per-sample OOB average; `NaN` where no tree left the sample out.
+fn oob_average(sums: &[f64], counts: &[u32]) -> Vec<f64> {
+    sums.iter()
+        .zip(counts)
+        .map(|(&s, &c)| if c == 0 { f64::NAN } else { s / c as f64 })
+        .collect()
+}
+
+/// R² of OOB predictions against the targets, skipping `NaN` (never-OOB)
+/// samples.
+pub(crate) fn oob_r2_score(y: &[f64], preds: &[f64]) -> f64 {
+    let mut yt = Vec::with_capacity(y.len());
+    let mut yp = Vec::with_capacity(y.len());
+    for (t, p) in y.iter().zip(preds) {
+        if !p.is_nan() {
+            yt.push(*t);
+            yp.push(*p);
+        }
+    }
+    assert!(!yt.is_empty(), "no OOB samples — too few trees?");
+    metrics::r2_score(&yt, &yp)
 }
 
 impl Regressor for RandomForest {

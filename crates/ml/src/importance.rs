@@ -11,7 +11,7 @@
 
 use rand::Rng;
 
-use crate::forest::RandomForest;
+use crate::forest::{oob_r2_score, RandomForest};
 
 /// Average OOB-R² drop when a group's columns are jointly permuted.
 #[derive(Debug, Clone)]
@@ -54,12 +54,20 @@ pub fn grouped_permutation_importance<R: Rng + ?Sized>(
         );
     }
 
-    let baseline = forest.oob_r2(x, y);
+    // Walk every (tree, OOB sample) pair once; a permutation then only
+    // re-walks the pairs whose decision path tests a permuted column.
+    let paths = forest.oob_paths(x);
+    let mut changed = vec![0u64; p.div_ceil(64)];
+    let baseline = oob_r2_score(y, &forest.oob_predictions_changed(&paths, x, &changed));
     let mut scratch: Vec<Vec<f64>> = x.to_vec();
     let mut perm: Vec<usize> = (0..n).collect();
 
     let mut out = Vec::with_capacity(groups.len());
     for (name, members) in groups {
+        changed.fill(0);
+        for &m in members {
+            changed[m / 64] |= 1 << (m % 64);
+        }
         let mut total_drop = 0.0;
         for _ in 0..repeats {
             // One shared row permutation for every member column: grouped
@@ -74,7 +82,8 @@ pub fn grouped_permutation_importance<R: Rng + ?Sized>(
                     scratch[i][m] = x[src][m];
                 }
             }
-            let permuted_r2 = forest.oob_r2(&scratch, y);
+            let permuted_r2 =
+                oob_r2_score(y, &forest.oob_predictions_changed(&paths, &scratch, &changed));
             total_drop += baseline - permuted_r2;
             // Restore the permuted columns.
             for (i, row) in scratch.iter_mut().enumerate() {

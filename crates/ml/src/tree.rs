@@ -151,10 +151,19 @@ impl DecisionTree {
         }
         self.mdi.iter().map(|&v| v / total).collect()
     }
-}
 
-impl Regressor for DecisionTree {
-    fn predict_row(&self, x: &[f64]) -> f64 {
+    /// [`Regressor::predict_row`], additionally setting bit `f` of the
+    /// bitset `path` (64 features per word) for every feature `f` a split
+    /// on the row's decision path tests. A row that differs from `x` only
+    /// in columns outside `path` reaches the same leaf.
+    pub(crate) fn predict_row_path(&self, x: &[f64], path: &mut [u64]) -> f64 {
+        self.walk(x, |feature| path[feature / 64] |= 1 << (feature % 64))
+    }
+
+    /// Descends from the root to `x`'s leaf, calling `on_split` with the
+    /// feature each split on the way tests; returns the leaf value.
+    #[inline(always)]
+    fn walk(&self, x: &[f64], mut on_split: impl FnMut(usize)) -> f64 {
         debug_assert_eq!(x.len(), self.n_features, "feature count mismatch");
         let mut i = 0;
         loop {
@@ -166,10 +175,17 @@ impl Regressor for DecisionTree {
                     left,
                     right,
                 } => {
+                    on_split(*feature);
                     i = if x[*feature] <= *threshold { *left } else { *right };
                 }
             }
         }
+    }
+}
+
+impl Regressor for DecisionTree {
+    fn predict_row(&self, x: &[f64]) -> f64 {
+        self.walk(x, |_| {})
     }
 }
 
