@@ -180,6 +180,26 @@ fn bench_importance(c: &mut Criterion) {
     g.finish();
 }
 
+/// Parameter selection exactly as an unseen workload pays for it: default
+/// `SelectorOptions` (3 forest refits × 120 trees, 10 permutation repeats)
+/// on 100 maximin-LHS KMeans samples over the full space, ranking its 34
+/// covering groups.
+fn bench_select(c: &mut Criterion) {
+    use robotune::ParameterSelector;
+    use robotune_sparksim::SparkJob;
+    let space = spark_space();
+    let selector = ParameterSelector::default();
+    let mut job = SparkJob::new(space.clone(), Workload::KMeans, Dataset::D1, 1);
+    let (x, y, _) = selector.collect_samples(&space, &mut job, &mut rng_from_seed(12));
+    let mut g = c.benchmark_group("select");
+    g.sample_size(10);
+    g.bench_function("select_from_data_100x44", |b| {
+        let mut rng = rng_from_seed(13);
+        b.iter(|| selector.select_from_data(&space, &x, &y, &mut rng));
+    });
+    g.finish();
+}
+
 fn bench_space(c: &mut Criterion) {
     let space = spark_space();
     let point = vec![0.42; 44];
@@ -241,6 +261,7 @@ criterion_group!(
     bench_acquisitions,
     bench_bo_suggest,
     bench_importance,
+    bench_select,
     bench_space,
     bench_end_to_end
 );

@@ -134,7 +134,7 @@ where
     F: Fn(&[f64]) -> f64 + Sync,
 {
     let workers = if parallel {
-        std::thread::available_parallelism().map_or(1, usize::from)
+        crate::host_parallelism()
     } else {
         1
     };

@@ -184,7 +184,7 @@ impl<K: Kernel> GpModel<K> {
         if qs.is_empty() {
             return Vec::new();
         }
-        let workers = std::thread::available_parallelism().map_or(1, usize::from);
+        let workers = crate::host_parallelism();
         if workers > 1 && qs.len() >= BATCH_PAR_MIN {
             let chunk = qs.len().div_ceil(workers);
             let mut out = Vec::with_capacity(qs.len());

@@ -9,7 +9,7 @@
 
 use rand::Rng;
 
-use crate::tree::{DecisionTree, SplitMode, TreeParams};
+use crate::tree::{DecisionTree, Presort, SplitMode, TreeParams};
 use crate::{metrics, Regressor};
 
 /// Ensemble hyperparameters.
@@ -79,6 +79,8 @@ impl RandomForest {
         assert!(params.n_trees > 0, "need at least one tree");
         let n = x.len();
         let tp = params.tree_params(x[0].len(), SplitMode::Exact);
+        // Every tree's exact split search reads the same per-feature order.
+        let presort = Presort::new(x, y);
 
         let mut trees = Vec::with_capacity(params.n_trees);
         let mut in_bag = Vec::with_capacity(params.n_trees);
@@ -91,7 +93,14 @@ impl RandomForest {
                 counts[i] += 1;
                 sample_idx.push(i);
             }
-            trees.push(DecisionTree::fit_indices(x, y, &sample_idx, &tp, rng));
+            trees.push(DecisionTree::fit_presorted(
+                x,
+                y,
+                &sample_idx,
+                &tp,
+                Some(&presort),
+                rng,
+            ));
             in_bag.push(counts);
         }
         RandomForest {
@@ -151,58 +160,84 @@ impl RandomForest {
     /// recording the prediction and the features on its decision path.
     pub(crate) fn oob_paths(&self, x: &[Vec<f64>]) -> OobPaths {
         assert_eq!(x.len(), self.n_samples, "OOB requires the training rows");
+        let n = self.n_samples;
         let words = x.first().map_or(0, Vec::len).div_ceil(64);
         let pairs = self.in_bag.iter().flatten().filter(|&&c| c == 0).count();
+        assert!(pairs <= u32::MAX as usize, "too many OOB pairs");
         let mut preds = Vec::with_capacity(pairs);
         let mut paths = vec![0u64; pairs * words];
-        for (tree, bag) in self.trees.iter().zip(&self.in_bag) {
-            for i in (0..self.n_samples).filter(|&i| bag[i] == 0) {
+        let mut pair_tree = Vec::with_capacity(pairs);
+        let mut pair_sample = Vec::with_capacity(pairs);
+        for (t, (tree, bag)) in self.trees.iter().zip(&self.in_bag).enumerate() {
+            for i in (0..n).filter(|&i| bag[i] == 0) {
                 let e = preds.len();
                 let path = &mut paths[e * words..(e + 1) * words];
                 preds.push(tree.predict_row_path(&x[i], path));
+                pair_tree.push(t as u32);
+                pair_sample.push(i as u32);
             }
         }
-        OobPaths { words, preds, paths }
-    }
-
-    /// [`RandomForest::oob_predictions`] of a copy of the training rows
-    /// in which only the columns set in the bitset `changed` may differ:
-    /// a tree is re-walked on `x` only for samples whose recorded path
-    /// tests a changed column; every other term is the recorded
-    /// prediction, which that walk would reproduce exactly. Per sample the
-    /// terms are added in tree order, as in `oob_predictions`, so the
-    /// result is bit-identical to it.
-    pub(crate) fn oob_predictions_changed(
-        &self,
-        paths: &OobPaths,
-        x: &[Vec<f64>],
-        changed: &[u64],
-    ) -> Vec<f64> {
-        assert_eq!(x.len(), self.n_samples, "OOB requires the training rows");
-        let mut sums = vec![0.0; self.n_samples];
-        let mut counts = vec![0u32; self.n_samples];
-        let mut e = 0;
-        for (tree, bag) in self.trees.iter().zip(&self.in_bag) {
-            for i in (0..self.n_samples).filter(|&i| bag[i] == 0) {
-                let path = &paths.paths[e * paths.words..(e + 1) * paths.words];
-                let hit = path.iter().zip(changed).any(|(p, c)| p & c != 0);
-                sums[i] += if hit { tree.predict_row(&x[i]) } else { paths.preds[e] };
-                counts[i] += 1;
-                e += 1;
-            }
+        OobPaths {
+            n_samples: n,
+            words,
+            preds,
+            paths,
+            pair_tree,
+            pair_sample,
         }
-        oob_average(&sums, &counts)
     }
 }
 
-/// For every (tree, OOB sample) pair of a fitted forest, in the order
-/// [`RandomForest::oob_predictions`] visits them: that tree's prediction
-/// on the training row, and the features its decision path tests as a
-/// bitset of `words` 64-bit words (so any feature count works).
+/// Every (tree, OOB sample) pair of a fitted forest, numbered in the
+/// order [`RandomForest::oob_predictions`] visits them (tree-major): that
+/// tree's prediction on the training row, and the features its decision
+/// path tests as a bitset of `words` 64-bit words (so any feature count
+/// works), plus the pair's tree and sample.
 pub(crate) struct OobPaths {
+    n_samples: usize,
     words: usize,
     preds: Vec<f64>,
     paths: Vec<u64>,
+    pair_tree: Vec<u32>,
+    pair_sample: Vec<u32>,
+}
+
+impl OobPaths {
+    /// Each pair's prediction on the unpermuted training rows.
+    pub(crate) fn preds(&self) -> &[f64] {
+        &self.preds
+    }
+
+    /// The tree and sample of pair `e`.
+    pub(crate) fn pair(&self, e: usize) -> (usize, usize) {
+        (self.pair_tree[e] as usize, self.pair_sample[e] as usize)
+    }
+
+    /// The pairs, ascending, whose recorded path tests a column set in the
+    /// bitset `changed`: only those can predict differently on rows that
+    /// differ from the training rows in `changed` columns alone.
+    pub(crate) fn affected(&self, changed: &[u64]) -> Vec<usize> {
+        self.paths
+            .chunks_exact(self.words.max(1))
+            .enumerate()
+            .filter(|(_, path)| path.iter().zip(changed).any(|(p, c)| p & c != 0))
+            .map(|(e, _)| e)
+            .collect()
+    }
+
+    /// Every sample's OOB prediction from the per-pair values `vals`.
+    /// Pairs are numbered tree-major, so adding them in pair order adds
+    /// each sample's terms from `0.0` in tree order — the arithmetic of
+    /// [`RandomForest::oob_predictions`].
+    pub(crate) fn oob_predictions(&self, vals: &[f64]) -> Vec<f64> {
+        let mut sums = vec![0.0; self.n_samples];
+        let mut counts = vec![0u32; self.n_samples];
+        for (&i, &v) in self.pair_sample.iter().zip(vals) {
+            sums[i as usize] += v;
+            counts[i as usize] += 1;
+        }
+        oob_average(&sums, &counts)
+    }
 }
 
 /// Per-sample OOB average; `NaN` where no tree left the sample out.

@@ -12,6 +12,7 @@
 use rand::Rng;
 
 use crate::forest::{oob_r2_score, RandomForest};
+use crate::Regressor;
 
 /// Average OOB-R² drop when a group's columns are jointly permuted.
 #[derive(Debug, Clone)]
@@ -54,13 +55,17 @@ pub fn grouped_permutation_importance<R: Rng + ?Sized>(
         );
     }
 
-    // Walk every (tree, OOB sample) pair once; a permutation then only
-    // re-walks the pairs whose decision path tests a permuted column.
+    // Walk every (tree, OOB sample) pair once. A permutation can only move
+    // the pairs whose decision path tests a permuted column, so each
+    // repeat re-walks just those; every other term is the recorded one,
+    // bit for bit.
+    let trees = forest.trees();
     let paths = forest.oob_paths(x);
-    let mut changed = vec![0u64; p.div_ceil(64)];
-    let baseline = oob_r2_score(y, &forest.oob_predictions_changed(&paths, x, &changed));
+    let baseline = oob_r2_score(y, &paths.oob_predictions(paths.preds()));
+    let mut vals = paths.preds().to_vec();
     let mut scratch: Vec<Vec<f64>> = x.to_vec();
     let mut perm: Vec<usize> = (0..n).collect();
+    let mut changed = vec![0u64; p.div_ceil(64)];
 
     let mut out = Vec::with_capacity(groups.len());
     for (name, members) in groups {
@@ -68,6 +73,8 @@ pub fn grouped_permutation_importance<R: Rng + ?Sized>(
         for &m in members {
             changed[m / 64] |= 1 << (m % 64);
         }
+        let affected = paths.affected(&changed);
+
         let mut total_drop = 0.0;
         for _ in 0..repeats {
             // One shared row permutation for every member column: grouped
@@ -82,15 +89,20 @@ pub fn grouped_permutation_importance<R: Rng + ?Sized>(
                     scratch[i][m] = x[src][m];
                 }
             }
-            let permuted_r2 =
-                oob_r2_score(y, &forest.oob_predictions_changed(&paths, &scratch, &changed));
-            total_drop += baseline - permuted_r2;
-            // Restore the permuted columns.
-            for (i, row) in scratch.iter_mut().enumerate() {
-                for &m in members {
-                    row[m] = x[i][m];
-                }
+            for &e in &affected {
+                let (t, i) = paths.pair(e);
+                vals[e] = trees[t].predict_row(&scratch[i]);
             }
+            total_drop += baseline - oob_r2_score(y, &paths.oob_predictions(&vals));
+        }
+        // Restore the permuted columns and the baseline terms.
+        for (i, row) in scratch.iter_mut().enumerate() {
+            for &m in members {
+                row[m] = x[i][m];
+            }
+        }
+        for &e in &affected {
+            vals[e] = paths.preds()[e];
         }
         out.push(GroupImportance {
             name: name.clone(),

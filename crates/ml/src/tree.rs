@@ -49,21 +49,36 @@ impl Default for TreeParams {
     }
 }
 
-#[derive(Debug, Clone)]
-enum Node {
-    Leaf {
-        value: f64,
-    },
-    Split {
-        feature: usize,
-        threshold: f64,
-        left: usize,
-        right: usize,
-    },
+/// `Node::feature` of a leaf.
+const LEAF: u32 = u32::MAX;
+
+/// Samples a node needs before [`Presort`] replaces the per-feature sort:
+/// below this, sorting the node's few pairs is cheaper than scanning all
+/// training rows.
+const PRESORT_MIN_SAMPLES: usize = 24;
+
+/// One arena node (16 bytes). A split (`feature != LEAF`) sends rows with
+/// `x[feature] <= value` to its left child, which preorder growth places
+/// at the next index, and the rest to `right`; a leaf predicts `value`.
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    value: f64,
+    feature: u32,
+    right: u32,
 }
 
-/// A fitted regression tree. Nodes live in a flat arena; index 0 is the
-/// root.
+impl Node {
+    fn leaf(value: f64) -> Self {
+        Node {
+            value,
+            feature: LEAF,
+            right: 0,
+        }
+    }
+}
+
+/// A fitted regression tree. Nodes live in a flat preorder arena; index 0
+/// is the root.
 #[derive(Debug, Clone)]
 pub struct DecisionTree {
     nodes: Vec<Node>,
@@ -76,6 +91,9 @@ pub struct DecisionTree {
 impl DecisionTree {
     /// Fits a tree on rows `x` (all of equal length) and targets `y`,
     /// restricted to the samples listed in `sample_idx` (bootstrap support).
+    /// In [`SplitMode::Exact`] the rows are first sorted once per feature
+    /// (a [`RandomForest`](crate::RandomForest) shares that sort across
+    /// its trees).
     ///
     /// # Panics
     ///
@@ -90,24 +108,45 @@ impl DecisionTree {
     ) -> Self {
         assert_eq!(x.len(), y.len(), "x/y length mismatch");
         assert!(!x.is_empty(), "cannot fit on empty data");
+        let presort = (params.split_mode == SplitMode::Exact).then(|| Presort::new(x, y));
+        Self::fit_presorted(x, y, sample_idx, params, presort.as_ref(), rng)
+    }
+
+    /// [`DecisionTree::fit_indices`] with the training rows' [`Presort`]
+    /// supplied by the caller, so a forest sorts its data once. `presort`
+    /// must come from the same `x` and `y`; it is only consulted by
+    /// [`SplitMode::Exact`].
+    pub(crate) fn fit_presorted<R: Rng + ?Sized>(
+        x: &[Vec<f64>],
+        y: &[f64],
+        sample_idx: &[usize],
+        params: &TreeParams,
+        presort: Option<&Presort>,
+        rng: &mut R,
+    ) -> Self {
         assert!(!sample_idx.is_empty(), "cannot fit on empty index set");
+        // A tree has fewer than 2·|sample_idx| nodes; indices are `u32`.
+        assert!(sample_idx.len() <= u32::MAX as usize / 2, "too many samples");
         let n_features = x[0].len();
-        let mut nodes = Vec::new();
-        let mut idx = sample_idx.to_vec();
-        let mut feature_pool: Vec<usize> = (0..n_features).collect();
-        let mut mdi = vec![0.0; n_features];
-        grow(
+        assert!(n_features < LEAF as usize, "too many features");
+        let mut grower = Grower {
             x,
             y,
-            &mut idx,
             params,
+            presort,
             rng,
-            &mut nodes,
-            &mut feature_pool,
-            &mut mdi,
-            0,
-        );
-        DecisionTree { nodes, n_features, mdi }
+            nodes: Vec::new(),
+            feature_pool: (0..n_features).collect(),
+            mdi: vec![0.0; n_features],
+            pairs: Vec::with_capacity(sample_idx.len()),
+            counts: presort.map_or_else(Vec::new, |_| vec![0; x.len()]),
+        };
+        grower.grow(&mut sample_idx.to_vec(), 0);
+        DecisionTree {
+            nodes: grower.nodes,
+            n_features,
+            mdi: grower.mdi,
+        }
     }
 
     /// Fits on all samples.
@@ -123,10 +162,7 @@ impl DecisionTree {
 
     /// Number of leaf nodes.
     pub fn leaf_count(&self) -> usize {
-        self.nodes
-            .iter()
-            .filter(|n| matches!(n, Node::Leaf { .. }))
-            .count()
+        self.nodes.iter().filter(|n| n.feature == LEAF).count()
     }
 
     /// Number of features the tree was trained with.
@@ -167,18 +203,17 @@ impl DecisionTree {
         debug_assert_eq!(x.len(), self.n_features, "feature count mismatch");
         let mut i = 0;
         loop {
-            match &self.nodes[i] {
-                Node::Leaf { value } => return *value,
-                Node::Split {
-                    feature,
-                    threshold,
-                    left,
-                    right,
-                } => {
-                    on_split(*feature);
-                    i = if x[*feature] <= *threshold { *left } else { *right };
-                }
+            let node = self.nodes[i];
+            if node.feature == LEAF {
+                return node.value;
             }
+            let feature = node.feature as usize;
+            on_split(feature);
+            i = if x[feature] <= node.value {
+                i + 1
+            } else {
+                node.right as usize
+            };
         }
     }
 }
@@ -189,74 +224,234 @@ impl Regressor for DecisionTree {
     }
 }
 
-/// Recursively grows a subtree over the samples in `idx`, pushing nodes
-/// into `nodes` and returning the new subtree's root index.
-#[allow(clippy::too_many_arguments)]
-fn grow<R: Rng + ?Sized>(
-    x: &[Vec<f64>],
-    y: &[f64],
-    idx: &mut [usize],
-    params: &TreeParams,
-    rng: &mut R,
-    nodes: &mut Vec<Node>,
-    feature_pool: &mut Vec<usize>,
-    mdi: &mut [f64],
-    depth: usize,
-) -> usize {
-    let n = idx.len();
-    let mean: f64 = idx.iter().map(|&i| y[i]).sum::<f64>() / n as f64;
+/// The training rows sorted once per feature, for the exact split search.
+///
+/// A node with enough samples reads its sorted `(x, y)` sequence off this
+/// order with a counting scan — each training row emitted as many times as
+/// the node holds it — instead of sorting its own pairs. That yields the
+/// very sequence the stable sort of the node's pairs would, and hence the
+/// same prefix sums bit for bit, unless two distinct rows tie on the
+/// feature with different `y` bits: the stable sort then keeps the node's
+/// current (partition-scrambled) order of the tied rows while the scan
+/// keeps row order, and the reordered `y` terms round differently. Such a
+/// feature is not `safe` and keeps the sort.
+pub(crate) struct Presort {
+    n: usize,
+    /// `order[f * n..(f + 1) * n]`: every row, ascending by `x[row][f]`
+    /// under `total_cmp`.
+    order: Vec<u32>,
+    /// `safe[f]`: every tie on feature `f` is between rows with identical
+    /// `y` bits.
+    safe: Vec<bool>,
+}
 
-    let depth_ok = params.max_depth.is_none_or(|d| depth < d);
-    if n < params.min_samples_split || !depth_ok || is_pure(y, idx) {
-        nodes.push(Node::Leaf { value: mean });
-        return nodes.len() - 1;
-    }
-
-    // Random feature subset (without replacement) of size max_features,
-    // via a partial Fisher–Yates over the shared pool.
-    let k = params
-        .max_features
-        .unwrap_or(feature_pool.len())
-        .clamp(1, feature_pool.len());
-    for j in 0..k {
-        let r = rng.gen_range(j..feature_pool.len());
-        feature_pool.swap(j, r);
-    }
-    let candidates: Vec<usize> = feature_pool[..k].to_vec();
-
-    let best = match params.split_mode {
-        SplitMode::Exact => best_exact_split(x, y, idx, &candidates, params.min_samples_leaf),
-        SplitMode::RandomThreshold => {
-            best_random_split(x, y, idx, &candidates, params.min_samples_leaf, rng)
+impl Presort {
+    pub(crate) fn new(x: &[Vec<f64>], y: &[f64]) -> Self {
+        let n = x.len();
+        let p = x.first().map_or(0, Vec::len);
+        assert!(n <= u32::MAX as usize, "too many rows");
+        let mut order = Vec::with_capacity(n * p);
+        let mut safe = Vec::with_capacity(p);
+        let mut col = Vec::with_capacity(n);
+        for f in 0..p {
+            col.clear();
+            col.extend(x.iter().map(|row| row[f]));
+            let start = order.len();
+            order.extend(0..n as u32);
+            let rows = &mut order[start..];
+            rows.sort_by(|&a, &b| col[a as usize].total_cmp(&col[b as usize]));
+            safe.push(rows.windows(2).all(|w| {
+                let (a, b) = (w[0] as usize, w[1] as usize);
+                col[a].total_cmp(&col[b]).is_ne() || y[a].to_bits() == y[b].to_bits()
+            }));
         }
-    };
+        Presort { n, order, safe }
+    }
+}
 
-    let Some((feature, threshold, child_sse)) = best else {
-        nodes.push(Node::Leaf { value: mean });
-        return nodes.len() - 1;
-    };
+/// State of one tree's growth.
+struct Grower<'a, R: ?Sized> {
+    x: &'a [Vec<f64>],
+    y: &'a [f64],
+    params: &'a TreeParams,
+    presort: Option<&'a Presort>,
+    rng: &'a mut R,
+    nodes: Vec<Node>,
+    /// Feature indices; a node's candidates are a prefix shuffled into it.
+    feature_pool: Vec<usize>,
+    mdi: Vec<f64>,
+    /// Scratch: one candidate feature's sorted `(x, y)` pairs.
+    pairs: Vec<(f64, f64)>,
+    /// Scratch: per training row, how often the current node holds it
+    /// (all zeros between nodes).
+    counts: Vec<u32>,
+}
 
-    // MDI bookkeeping: impurity decrease bought by this split.
-    let parent_sse: f64 = idx.iter().map(|&i| (y[i] - mean) * (y[i] - mean)).sum();
-    mdi[feature] += (parent_sse - child_sse).max(0.0);
+impl<R: Rng + ?Sized> Grower<'_, R> {
+    /// Recursively grows a subtree over the samples in `idx`, appending
+    /// its nodes in preorder.
+    fn grow(&mut self, idx: &mut [usize], depth: usize) {
+        let (x, y, params) = (self.x, self.y, self.params);
+        let n = idx.len();
+        let mean: f64 = idx.iter().map(|&i| y[i]).sum::<f64>() / n as f64;
 
-    // Partition idx in place: left = x <= threshold.
-    let split_at = partition(x, idx, feature, threshold);
-    debug_assert!(split_at > 0 && split_at < n, "degenerate partition");
+        let depth_ok = params.max_depth.is_none_or(|d| depth < d);
+        if n < params.min_samples_split || !depth_ok || is_pure(y, idx) {
+            self.nodes.push(Node::leaf(mean));
+            return;
+        }
 
-    // Reserve our slot before recursing so the parent index is stable.
-    nodes.push(Node::Leaf { value: mean });
-    let me = nodes.len() - 1;
-    let (left_idx, right_idx) = idx.split_at_mut(split_at);
-    let left = grow(x, y, left_idx, params, rng, nodes, feature_pool, mdi, depth + 1);
-    let right = grow(x, y, right_idx, params, rng, nodes, feature_pool, mdi, depth + 1);
-    nodes[me] = Node::Split {
-        feature,
-        threshold,
-        left,
-        right,
-    };
-    me
+        // Random feature subset (without replacement) of size max_features,
+        // via a partial Fisher–Yates over the shared pool.
+        let pool = self.feature_pool.len();
+        let k = params.max_features.unwrap_or(pool).clamp(1, pool);
+        for j in 0..k {
+            let r = self.rng.gen_range(j..pool);
+            self.feature_pool.swap(j, r);
+        }
+
+        let best = match params.split_mode {
+            SplitMode::Exact => self.best_exact_split(idx, k),
+            SplitMode::RandomThreshold => self.best_random_split(idx, k),
+        };
+
+        let Some((feature, threshold, child_sse)) = best else {
+            self.nodes.push(Node::leaf(mean));
+            return;
+        };
+
+        // MDI bookkeeping: impurity decrease bought by this split.
+        let parent_sse: f64 = idx.iter().map(|&i| (y[i] - mean) * (y[i] - mean)).sum();
+        self.mdi[feature] += (parent_sse - child_sse).max(0.0);
+
+        // Partition idx in place: left = x <= threshold.
+        let split_at = partition(x, idx, feature, threshold);
+        debug_assert!(split_at > 0 && split_at < n, "degenerate partition");
+
+        // Reserve our slot; the left subtree follows it directly.
+        let me = self.nodes.len();
+        self.nodes.push(Node::leaf(mean));
+        let (left_idx, right_idx) = idx.split_at_mut(split_at);
+        self.grow(left_idx, depth + 1);
+        let right = self.nodes.len() as u32;
+        self.grow(right_idx, depth + 1);
+        self.nodes[me] = Node {
+            value: threshold,
+            feature: feature as u32,
+            right,
+        };
+    }
+
+    /// Exhaustive best split over the first `k` pool features. Returns
+    /// `(feature, threshold, total child SSE)` of the split minimising
+    /// child SSE, or `None` when no admissible split improves on a leaf.
+    fn best_exact_split(&mut self, idx: &[usize], k: usize) -> Option<(usize, f64, f64)> {
+        let (x, y, min_leaf) = (self.x, self.y, self.params.min_samples_leaf);
+        let n = idx.len();
+        let presort = self.presort.filter(|_| n >= PRESORT_MIN_SAMPLES);
+        if presort.is_some() {
+            for &i in idx {
+                self.counts[i] += 1;
+            }
+        }
+        let pairs = &mut self.pairs;
+        let mut best: Option<(f64, usize, f64)> = None; // (sse, feature, threshold)
+
+        for &f in &self.feature_pool[..k] {
+            pairs.clear();
+            match presort {
+                Some(ps) if ps.safe[f] => {
+                    for &row in &ps.order[f * ps.n..(f + 1) * ps.n] {
+                        let row = row as usize;
+                        for _ in 0..self.counts[row] {
+                            pairs.push((x[row][f], y[row]));
+                        }
+                    }
+                }
+                _ => {
+                    pairs.extend(idx.iter().map(|&i| (x[i][f], y[i])));
+                    pairs.sort_by(|a, b| a.0.total_cmp(&b.0));
+                }
+            }
+
+            // Prefix sums over the sorted order.
+            let mut sum_left = 0.0;
+            let mut sq_left = 0.0;
+            let total_sum: f64 = pairs.iter().map(|p| p.1).sum();
+            let total_sq: f64 = pairs.iter().map(|p| p.1 * p.1).sum();
+
+            for i in 0..n - 1 {
+                sum_left += pairs[i].1;
+                sq_left += pairs[i].1 * pairs[i].1;
+                // Can't split between equal feature values.
+                if pairs[i].0 == pairs[i + 1].0 {
+                    continue;
+                }
+                let nl = i + 1;
+                let nr = n - nl;
+                if nl < min_leaf || nr < min_leaf {
+                    continue;
+                }
+                let sum_right = total_sum - sum_left;
+                let sq_right = total_sq - sq_left;
+                let sse = (sq_left - sum_left * sum_left / nl as f64)
+                    + (sq_right - sum_right * sum_right / nr as f64);
+                if best.is_none_or(|(b, _, _)| sse < b) {
+                    // Midpoint threshold, like scikit-learn.
+                    let thr = 0.5 * (pairs[i].0 + pairs[i + 1].0);
+                    best = Some((sse, f, thr));
+                }
+            }
+        }
+        if presort.is_some() {
+            for &i in idx {
+                self.counts[i] = 0;
+            }
+        }
+        best.map(|(s, f, t)| (f, t, s))
+    }
+
+    /// Extra-Trees split: one uniform threshold per candidate feature,
+    /// best SSE wins. Returns `(feature, threshold, total child SSE)`.
+    fn best_random_split(&mut self, idx: &[usize], k: usize) -> Option<(usize, f64, f64)> {
+        let (x, y, min_leaf) = (self.x, self.y, self.params.min_samples_leaf);
+        let n = idx.len();
+        let mut best: Option<(f64, usize, f64)> = None;
+        for &f in &self.feature_pool[..k] {
+            let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
+            for &i in idx {
+                lo = lo.min(x[i][f]);
+                hi = hi.max(x[i][f]);
+            }
+            if lo == hi {
+                continue;
+            }
+            let thr = self.rng.gen_range(lo..hi);
+            let (mut nl, mut sum_l, mut sq_l) = (0usize, 0.0, 0.0);
+            let (mut sum_t, mut sq_t) = (0.0, 0.0);
+            for &i in idx {
+                let yi = y[i];
+                sum_t += yi;
+                sq_t += yi * yi;
+                if x[i][f] <= thr {
+                    nl += 1;
+                    sum_l += yi;
+                    sq_l += yi * yi;
+                }
+            }
+            let nr = n - nl;
+            if nl < min_leaf || nr < min_leaf {
+                continue;
+            }
+            let sum_r = sum_t - sum_l;
+            let sq_r = sq_t - sq_l;
+            let sse = (sq_l - sum_l * sum_l / nl as f64) + (sq_r - sum_r * sum_r / nr as f64);
+            if best.is_none_or(|(b, _, _)| sse < b) {
+                best = Some((sse, f, thr));
+            }
+        }
+        best.map(|(s, f, t)| (f, t, s))
+    }
 }
 
 fn is_pure(y: &[f64], idx: &[usize]) -> bool {
@@ -275,106 +470,6 @@ fn partition(x: &[Vec<f64>], idx: &mut [usize], feature: usize, threshold: f64) 
         }
     }
     lo
-}
-
-/// Exhaustive best split over the candidate features. Returns
-/// `(feature, threshold, total child SSE)` of the split minimising child
-/// SSE, or `None` when no admissible split improves on a leaf.
-fn best_exact_split(
-    x: &[Vec<f64>],
-    y: &[f64],
-    idx: &[usize],
-    candidates: &[usize],
-    min_leaf: usize,
-) -> Option<(usize, f64, f64)> {
-    let n = idx.len();
-    let mut best: Option<(f64, usize, f64)> = None; // (sse, feature, threshold)
-    let mut pairs: Vec<(f64, f64)> = Vec::with_capacity(n);
-
-    for &f in candidates {
-        pairs.clear();
-        pairs.extend(idx.iter().map(|&i| (x[i][f], y[i])));
-        pairs.sort_by(|a, b| a.0.total_cmp(&b.0));
-
-        // Prefix sums over the sorted order.
-        let mut sum_left = 0.0;
-        let mut sq_left = 0.0;
-        let total_sum: f64 = pairs.iter().map(|p| p.1).sum();
-        let total_sq: f64 = pairs.iter().map(|p| p.1 * p.1).sum();
-
-        for i in 0..n - 1 {
-            sum_left += pairs[i].1;
-            sq_left += pairs[i].1 * pairs[i].1;
-            // Can't split between equal feature values.
-            if pairs[i].0 == pairs[i + 1].0 {
-                continue;
-            }
-            let nl = i + 1;
-            let nr = n - nl;
-            if nl < min_leaf || nr < min_leaf {
-                continue;
-            }
-            let sum_right = total_sum - sum_left;
-            let sq_right = total_sq - sq_left;
-            let sse = (sq_left - sum_left * sum_left / nl as f64)
-                + (sq_right - sum_right * sum_right / nr as f64);
-            if best.is_none_or(|(b, _, _)| sse < b) {
-                // Midpoint threshold, like scikit-learn.
-                let thr = 0.5 * (pairs[i].0 + pairs[i + 1].0);
-                best = Some((sse, f, thr));
-            }
-        }
-    }
-    best.map(|(s, f, t)| (f, t, s))
-}
-
-/// Extra-Trees split: one uniform threshold per candidate feature, best SSE
-/// wins. Returns `(feature, threshold, total child SSE)`.
-fn best_random_split<R: Rng + ?Sized>(
-    x: &[Vec<f64>],
-    y: &[f64],
-    idx: &[usize],
-    candidates: &[usize],
-    min_leaf: usize,
-    rng: &mut R,
-) -> Option<(usize, f64, f64)> {
-    let n = idx.len();
-    let mut best: Option<(f64, usize, f64)> = None;
-    for &f in candidates {
-        let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-        for &i in idx {
-            lo = lo.min(x[i][f]);
-            hi = hi.max(x[i][f]);
-        }
-        if lo == hi {
-            continue;
-        }
-        let thr = rng.gen_range(lo..hi);
-        let (mut nl, mut sum_l, mut sq_l) = (0usize, 0.0, 0.0);
-        let (mut sum_t, mut sq_t) = (0.0, 0.0);
-        for &i in idx {
-            let yi = y[i];
-            sum_t += yi;
-            sq_t += yi * yi;
-            if x[i][f] <= thr {
-                nl += 1;
-                sum_l += yi;
-                sq_l += yi * yi;
-            }
-        }
-        let nr = n - nl;
-        if nl < min_leaf || nr < min_leaf {
-            continue;
-        }
-        let sum_r = sum_t - sum_l;
-        let sq_r = sq_t - sq_l;
-        let sse =
-            (sq_l - sum_l * sum_l / nl as f64) + (sq_r - sum_r * sum_r / nr as f64);
-        if best.is_none_or(|(b, _, _)| sse < b) {
-            best = Some((sse, f, thr));
-        }
-    }
-    best.map(|(s, f, t)| (f, t, s))
 }
 
 #[cfg(test)]
