@@ -70,6 +70,14 @@ fn bench_gp(c: &mut Criterion) {
     });
     let m = GpModel::fit(x8.clone(), &y, Matern52::new(0.5, 1.0), 1e-4).unwrap();
     g.bench_function("gp_predict", |b| b.iter(|| m.predict(&x8[0])));
+    // The pointwise posterior the acquisition search calls most: 60
+    // observations (mid-way through a budget-100 session) over 4 selected
+    // dimensions, queried away from the training points.
+    let (x60, y60) = synthetic_data(60);
+    let x4: Vec<Vec<f64>> = x60.iter().map(|r| r[..4].to_vec()).collect();
+    let m4 = GpModel::fit(x4, &y60, Matern52::new(0.5, 1.0), 1e-4).unwrap();
+    let q = [0.31, 0.62, 0.17, 0.88];
+    g.bench_function("gp_predict_60x4", |b| b.iter(|| m4.predict(&q)));
     g.finish();
 }
 

@@ -12,6 +12,43 @@ pub trait Kernel {
     fn diag(&self, a: &[f64]) -> f64 {
         self.eval(a, a)
     }
+
+    /// Covariances between `q` and `out.len()` points stored
+    /// dimension-major (`xt[d * out.len() + i]` is coordinate `d` of
+    /// point `i`): `out[i]` is bit-identical to `self.eval(q, x_i)`.
+    ///
+    /// This is the posterior's kernel row. The built-in kernels compute it
+    /// in whole-row passes (distance, then scaling, then the covariance)
+    /// that the compiler can vectorise.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `xt.len() != q.len() * out.len()`.
+    fn eval_row(&self, q: &[f64], xt: &[f64], out: &mut [f64]);
+}
+
+/// `out[i] = Σ_d term(d, q_d − x_{d,i})` for points stored dimension-major,
+/// each sum taken in ascending `d` like [`sq_dist`].
+#[inline(always)]
+fn dim_sums(q: &[f64], xt: &[f64], out: &mut [f64], term: impl Fn(usize, f64) -> f64) {
+    let n = out.len();
+    assert_eq!(xt.len(), q.len() * n, "eval_row: dimension mismatch");
+    out.fill(0.0);
+    if n == 0 {
+        return;
+    }
+    for (d, (&qd, col)) in q.iter().zip(xt.chunks_exact(n)).enumerate() {
+        for (o, &x) in out.iter_mut().zip(col) {
+            *o += term(d, qd - x);
+        }
+    }
+}
+
+/// `σ²·(1 + s + s²/3)·exp(−s)`: Matérn 5/2 at the scaled distance
+/// `s = √5·r/ℓ`, shared by the isotropic and ARD kernels.
+#[inline(always)]
+fn matern52_of(variance: f64, s: f64) -> f64 {
+    variance * (1.0 + s + s * s / 3.0) * (-s).exp()
 }
 
 /// Matérn 5/2: `σ²·(1 + √5 r/ℓ + 5r²/(3ℓ²))·exp(−√5 r/ℓ)`.
@@ -71,14 +108,23 @@ impl Matern52 {
     /// square root and a multiply per pair.
     #[inline]
     pub fn eval_sqrt5_dist(&self, r5: f64) -> f64 {
-        let s = r5 / self.length_scale;
-        self.variance * (1.0 + s + s * s / 3.0) * (-s).exp()
+        matern52_of(self.variance, r5 / self.length_scale)
     }
 }
 
 impl Kernel for Matern52 {
     fn eval(&self, a: &[f64], b: &[f64]) -> f64 {
         self.eval_sq_dist(sq_dist(a, b))
+    }
+
+    fn eval_row(&self, q: &[f64], xt: &[f64], out: &mut [f64]) {
+        dim_sums(q, xt, out, |_, d| d * d);
+        for v in out.iter_mut() {
+            *v = sqrt5_dist(*v) / self.length_scale;
+        }
+        for v in out.iter_mut() {
+            *v = matern52_of(self.variance, *v);
+        }
     }
 
     fn diag(&self, _a: &[f64]) -> f64 {
@@ -138,8 +184,7 @@ impl Matern52Ard {
     /// to evaluating from the coordinates.
     #[inline]
     pub fn eval_scaled_sq_dist(&self, r2: f64) -> f64 {
-        let s = 5.0_f64.sqrt() * r2.sqrt();
-        self.variance * (1.0 + s + s * s / 3.0) * (-s).exp()
+        matern52_of(self.variance, sqrt5_dist(r2))
     }
 }
 
@@ -156,6 +201,20 @@ impl Kernel for Matern52Ard {
             })
             .sum();
         self.eval_scaled_sq_dist(r2)
+    }
+
+    fn eval_row(&self, q: &[f64], xt: &[f64], out: &mut [f64]) {
+        assert_eq!(q.len(), self.length_scales.len(), "eval_row: dimension mismatch");
+        dim_sums(q, xt, out, |k, d| {
+            let d = d / self.length_scales[k];
+            d * d
+        });
+        for v in out.iter_mut() {
+            *v = sqrt5_dist(*v);
+        }
+        for v in out.iter_mut() {
+            *v = matern52_of(self.variance, *v);
+        }
     }
 
     fn diag(&self, _a: &[f64]) -> f64 {
@@ -204,6 +263,13 @@ impl SquaredExp {
 impl Kernel for SquaredExp {
     fn eval(&self, a: &[f64], b: &[f64]) -> f64 {
         self.eval_sq_dist(sq_dist(a, b))
+    }
+
+    fn eval_row(&self, q: &[f64], xt: &[f64], out: &mut [f64]) {
+        dim_sums(q, xt, out, |_, d| d * d);
+        for v in out.iter_mut() {
+            *v = self.eval_sq_dist(*v);
+        }
     }
 
     fn diag(&self, _a: &[f64]) -> f64 {

@@ -2,7 +2,7 @@
 
 use std::time::Instant;
 
-use robotune_linalg::{Cholesky, Matrix};
+use robotune_linalg::Matrix;
 
 use crate::error::GpError;
 use crate::kernel::Kernel;
@@ -22,10 +22,15 @@ const BATCH_PAR_MIN: usize = 64;
 /// factorisation struggles.
 #[derive(Debug, Clone)]
 pub struct GpModel<K: Kernel> {
-    x: Vec<Vec<f64>>,
+    /// Training inputs, dimension-major: `xt[d * n + i]` is coordinate
+    /// `d` of observation `i`, the layout [`Kernel::eval_row`] streams.
+    xt: Vec<f64>,
     kernel: K,
     noise: f64,
-    chol: Cholesky,
+    /// The Cholesky factor `L`, column-major: row `k` holds column `k`
+    /// of `L` (entries before `k` are zero).
+    l_cols: Matrix,
+    log_det: f64,
     /// Total diagonal jitter the factorisation needed (0 when none).
     jitter: f64,
     /// `K⁻¹ ỹ` over standardised targets.
@@ -34,6 +39,39 @@ pub struct GpModel<K: Kernel> {
     y_std: f64,
     /// Standardised targets, kept for the marginal likelihood.
     y_norm: Vec<f64>,
+}
+
+/// Solves `L v = b` in place, `l_cols` holding `L` column-major.
+///
+/// Columns are applied two at a time to every later row, each of which
+/// takes its column-`k` term and then its column-`k + 1` term. So each
+/// `b[i]` still starts from itself, subtracts its terms in ascending `k`,
+/// then divides by `L[i][i]`: the same operations, in the same order, as
+/// the row-by-row [`robotune_linalg::Cholesky::solve_lower`].
+fn solve_lower_cols(l_cols: &Matrix, b: &mut [f64]) {
+    let n = b.len();
+    let mut k = 0;
+    while k + 1 < n {
+        let c0 = &l_cols.row(k)[k..];
+        let c1 = &l_cols.row(k + 1)[k + 1..];
+        let y0 = b[k] / c0[0];
+        b[k] = y0;
+        let y1 = (b[k + 1] - c0[1] * y0) / c1[0];
+        b[k + 1] = y1;
+        for ((bi, &l0), &l1) in b[k + 2..].iter_mut().zip(&c0[2..]).zip(&c1[1..]) {
+            *bi = (*bi - l0 * y0) - l1 * y1;
+        }
+        k += 2;
+    }
+    if k < n {
+        b[k] /= l_cols[(k, k)];
+    }
+}
+
+/// `x` transposed into one contiguous run per dimension.
+fn dimension_major(x: &[Vec<f64>]) -> Vec<f64> {
+    let dim = x.first().map_or(0, Vec::len);
+    (0..dim).flat_map(|d| x.iter().map(move |p| p[d])).collect()
 }
 
 impl<K: Kernel> GpModel<K> {
@@ -54,6 +92,9 @@ impl<K: Kernel> GpModel<K> {
         }
         if x.is_empty() {
             return Err(GpError::InvalidInput("cannot fit a GP on zero observations"));
+        }
+        if x.iter().any(|p| p.len() != x[0].len()) {
+            return Err(GpError::InvalidInput("observations differ in dimension"));
         }
         if !y.iter().all(|v| v.is_finite()) {
             return Err(GpError::InvalidInput("non-finite target"));
@@ -86,10 +127,11 @@ impl<K: Kernel> GpModel<K> {
         }
 
         Ok(GpModel {
-            x,
+            xt: dimension_major(&x),
             kernel,
             noise,
-            chol,
+            l_cols: chol.l().transpose(),
+            log_det: chol.log_det(),
             jitter,
             alpha,
             y_mean,
@@ -100,7 +142,7 @@ impl<K: Kernel> GpModel<K> {
 
     /// Number of training observations.
     pub fn n_observations(&self) -> usize {
-        self.x.len()
+        self.alpha.len()
     }
 
     /// The kernel in use.
@@ -125,12 +167,10 @@ impl<K: Kernel> GpModel<K> {
     /// otherwise — large values flag near-singular kernels (lengthscale
     /// collapse, duplicated observations).
     pub fn cond_estimate(&self) -> f64 {
-        let l = self.chol.l();
-        let n = l.rows();
         let mut min = f64::INFINITY;
         let mut max = 0.0f64;
-        for i in 0..n {
-            let d = l[(i, i)].abs();
+        for i in 0..self.l_cols.rows() {
+            let d = self.l_cols[(i, i)].abs();
             min = min.min(d);
             max = max.max(d);
         }
@@ -143,16 +183,22 @@ impl<K: Kernel> GpModel<K> {
 
     /// Posterior mean and variance of the *latent* function at `q`, in the
     /// original target units. Variance is clamped at zero from below.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `q` does not match the training inputs' dimension.
     pub fn predict(&self, q: &[f64]) -> (f64, f64) {
-        let n = self.x.len();
-        let mut kstar = Vec::with_capacity(n);
-        for xi in &self.x {
-            kstar.push(self.kernel.eval(q, xi));
-        }
-        let mu_norm: f64 = kstar.iter().zip(&self.alpha).map(|(a, b)| a * b).sum();
+        self.predict_with(q, &mut vec![0.0; self.alpha.len()])
+    }
+
+    /// [`GpModel::predict`] with a caller-provided kernel-row buffer of
+    /// length `n`.
+    fn predict_with(&self, q: &[f64], k: &mut [f64]) -> (f64, f64) {
+        self.kernel.eval_row(q, &self.xt, k);
+        let mu_norm: f64 = k.iter().zip(&self.alpha).map(|(a, b)| a * b).sum();
         // var = k(q,q) − ‖L⁻¹ k*‖².
-        let v = self.chol.solve_lower(&kstar);
-        let var_norm = (self.kernel.diag(q) - v.iter().map(|x| x * x).sum::<f64>()).max(0.0);
+        solve_lower_cols(&self.l_cols, k);
+        let var_norm = (self.kernel.diag(q) - k.iter().map(|x| x * x).sum::<f64>()).max(0.0);
         (
             mu_norm * self.y_std + self.y_mean,
             var_norm * self.y_std * self.y_std,
@@ -164,19 +210,17 @@ impl<K: Kernel> GpModel<K> {
         self.predict(q).1.sqrt()
     }
 
-    /// Posterior mean and variance at every query point at once.
-    ///
-    /// Builds the `n × m` cross-covariance matrix and runs **one** blocked
-    /// triangular solve ([`Cholesky::solve_lower_multi`]) instead of `m`
-    /// separate forward substitutions, then accumulates all means and
-    /// variances in a single row-major sweep. Results are bit-identical to
-    /// calling [`GpModel::predict`] per point: each column's arithmetic
-    /// happens in the same order as the pointwise path.
+    /// Posterior mean and variance at every query point at once, each
+    /// bit-identical to [`GpModel::predict`] on that point.
     ///
     /// Batches of [`BATCH_PAR_MIN`] or more queries are split into
     /// contiguous chunks scored on `std::thread::scope` threads when the
-    /// host has more than one core; columns are independent, so the output
+    /// host has more than one core; queries are independent, so the output
     /// (concatenated in input order) does not depend on scheduling.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a query does not match the training inputs' dimension.
     pub fn predict_batch(&self, qs: &[Vec<f64>]) -> Vec<(f64, f64)>
     where
         K: Sync,
@@ -207,34 +251,8 @@ impl<K: Kernel> GpModel<K> {
     }
 
     fn predict_batch_chunk(&self, qs: &[Vec<f64>]) -> Vec<(f64, f64)> {
-        let n = self.x.len();
-        let m = qs.len();
-        let kstar = Matrix::from_fn(n, m, |i, j| self.kernel.eval(&qs[j], &self.x[i]));
-        let v = self.chol.solve_lower_multi(&kstar);
-        // Accumulate μ and ‖L⁻¹k*‖² for all columns in one pass over the
-        // rows; per column the additions run in training-index order,
-        // matching the pointwise `predict` sums exactly.
-        let mut mu = vec![0.0; m];
-        let mut vsq = vec![0.0; m];
-        for i in 0..n {
-            let krow = kstar.row(i);
-            let vrow = v.row(i);
-            let ai = self.alpha[i];
-            for j in 0..m {
-                mu[j] += krow[j] * ai;
-                vsq[j] += vrow[j] * vrow[j];
-            }
-        }
-        qs.iter()
-            .enumerate()
-            .map(|(j, q)| {
-                let var_norm = (self.kernel.diag(q) - vsq[j]).max(0.0);
-                (
-                    mu[j] * self.y_std + self.y_mean,
-                    var_norm * self.y_std * self.y_std,
-                )
-            })
-            .collect()
+        let mut k = vec![0.0; self.alpha.len()];
+        qs.iter().map(|q| self.predict_with(q, &mut k)).collect()
     }
 
     /// Log marginal likelihood of the standardised data under the model:
@@ -242,7 +260,7 @@ impl<K: Kernel> GpModel<K> {
     pub fn log_marginal_likelihood(&self) -> f64 {
         let n = self.y_norm.len() as f64;
         let fit: f64 = self.y_norm.iter().zip(&self.alpha).map(|(a, b)| a * b).sum();
-        -0.5 * fit - 0.5 * self.chol.log_det() - 0.5 * n * (2.0 * std::f64::consts::PI).ln()
+        -0.5 * fit - 0.5 * self.log_det - 0.5 * n * (2.0 * std::f64::consts::PI).ln()
     }
 }
 
@@ -264,10 +282,11 @@ impl<K: CachedKernel> GpModel<K> {
             robotune_obs::record("gp.fit_ns", t.elapsed().as_nanos() as f64);
         }
         Ok(GpModel {
-            x: data.x.clone(),
+            xt: dimension_major(&data.x),
             kernel,
             noise,
-            chol,
+            l_cols: chol.l().transpose(),
+            log_det: chol.log_det(),
             jitter,
             alpha,
             y_mean: data.y_mean,

@@ -105,6 +105,9 @@ impl PreparedData {
         if x.is_empty() {
             return Err(GpError::InvalidInput("cannot fit a GP on zero observations"));
         }
+        if x.iter().any(|p| p.len() != x[0].len()) {
+            return Err(GpError::InvalidInput("observations differ in dimension"));
+        }
         if !y.iter().all(|v| v.is_finite()) {
             return Err(GpError::InvalidInput("non-finite target"));
         }

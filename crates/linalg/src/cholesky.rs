@@ -167,40 +167,6 @@ impl Cholesky {
         y
     }
 
-    /// Solves `L Y = B` for many right-hand sides at once by blocked
-    /// forward substitution: `b` holds one RHS per *column*, and the
-    /// returned matrix holds the corresponding solution columns.
-    ///
-    /// This is the batched-prediction workhorse: eliminating row `i`
-    /// updates every column in one contiguous row sweep, so the whole
-    /// batch costs one pass over `L` instead of `m` passes. Each column's
-    /// arithmetic (order of operations included) is identical to
-    /// [`Cholesky::solve_lower`] on that column alone.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.rows()` does not match the factor's dimension.
-    pub fn solve_lower_multi(&self, b: &Matrix) -> Matrix {
-        let n = self.dim();
-        assert_eq!(b.rows(), n, "solve_lower_multi: rhs row count mismatch");
-        let mut y = b.clone();
-        for i in 0..n {
-            let lrow = self.l.row(i);
-            for (k, &lik) in lrow.iter().enumerate().take(i) {
-                // Split borrow: row k is fully solved, row i is being eliminated.
-                let (solved, active) = y.split_rows(k, i);
-                for (yi, &yk) in active.iter_mut().zip(solved) {
-                    *yi -= lik * yk;
-                }
-            }
-            let lii = lrow[i];
-            for v in y.row_mut(i) {
-                *v /= lii;
-            }
-        }
-        y
-    }
-
     /// Solves `Lᵀ x = y` by backward substitution.
     ///
     /// # Panics
@@ -295,29 +261,6 @@ mod tests {
         match Cholesky::factor(&a) {
             Err(LinalgError::NotPositiveDefinite(i)) => assert_eq!(i, 1),
             other => panic!("expected NotPositiveDefinite, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn solve_lower_multi_matches_columnwise_solves() {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(9);
-        for (n, m) in [(1usize, 1usize), (3, 2), (12, 7), (30, 16)] {
-            let b = Matrix::from_fn(n, n, |_, _| rng.gen::<f64>() - 0.5);
-            let mut a = b.mat_mul(&b.transpose());
-            a.add_diagonal(n as f64);
-            let ch = Cholesky::factor(&a).expect("SPD by construction");
-            let rhs = Matrix::from_fn(n, m, |i, j| (i as f64 - 0.3 * j as f64).sin());
-            let batch = ch.solve_lower_multi(&rhs);
-            for j in 0..m {
-                let col: Vec<f64> = (0..n).map(|i| rhs[(i, j)]).collect();
-                let single = ch.solve_lower(&col);
-                for i in 0..n {
-                    // Bit-identical: the blocked solve performs each
-                    // column's operations in the same order.
-                    assert_eq!(batch[(i, j)], single[i], "({i},{j}) of {n}x{m}");
-                }
-            }
         }
     }
 

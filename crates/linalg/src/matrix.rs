@@ -93,23 +93,6 @@ impl Matrix {
         &self.data
     }
 
-    /// Borrows row `k` immutably and row `i` mutably at the same time —
-    /// the split a blocked forward substitution needs when eliminating
-    /// row `i` against an already-solved row `k`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `k < i < self.rows()`.
-    #[inline]
-    pub fn split_rows(&mut self, k: usize, i: usize) -> (&[f64], &mut [f64]) {
-        assert!(k < i && i < self.rows, "split_rows requires k < i < rows");
-        let (head, tail) = self.data.split_at_mut(i * self.cols);
-        (
-            &head[k * self.cols..(k + 1) * self.cols],
-            &mut tail[..self.cols],
-        )
-    }
-
     /// Matrix–vector product `self * v`.
     ///
     /// # Panics
