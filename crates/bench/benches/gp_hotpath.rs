@@ -1,14 +1,14 @@
 //! GP hot-path micro-benchmark (issue target: ≥4× faster `suggest` at
 //! n=100 on an 8-core host).
 //!
-//! Compares the optimized GP pipeline — shared distance cache across
-//! hyperparameter candidates, parallel multi-start restarts, batched
-//! posterior prediction — against the pre-change reference path, which
-//! re-clones the training set and refits a throwaway `GpModel` for every
-//! log-marginal evaluation and scores acquisition candidates one by one.
+//! Compares the optimized GP hyperfit — shared distance cache across
+//! hyperparameter candidates, parallel multi-start restarts — against the
+//! pre-change reference path, which re-clones the training set and refits
+//! a throwaway `GpModel` for every log-marginal evaluation; and the
+//! posterior over 256 queries batched vs one `predict` call at a time.
 //!
-//! Both paths produce bit-identical suggestions at a fixed seed (see
-//! `tests/gp_hotpath.rs`), so the comparison is purely about time.
+//! Both hyperfit paths produce bit-identical suggestions at a fixed seed
+//! (see `tests/gp_hotpath.rs`), so the comparison is purely about time.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use robotune_bo::{BoEngine, BoOptions};
@@ -38,7 +38,6 @@ fn reference_opts() -> BoOptions {
             strategy: FitStrategy::Reference,
             ..HyperFitOptions::default()
         },
-        batched_scoring: false,
         ..BoOptions::default()
     }
 }

@@ -245,8 +245,12 @@ pub fn full_dim(reps: usize, budget: usize) -> String {
         let mut j = job(&space, Workload::PageRank, Dataset::D1, 0xAD1 + rep as u64);
         let mut rng = rng_from_seed(0xAD2 + a as u64 * 131 + rep as u64);
         let design = robotune_sampling::lhs_maximin(20, arms[a].1.dim(), &mut rng, 16);
-        let session = RoboTuneEngine::new(arms[a].1.clone(), RoboTuneEngineOptions::default())
-            .run(&mut j, design, budget, &mut rng);
+        let mut opts = RoboTuneEngineOptions::default();
+        if a == 1 {
+            opts.bo = opts.bo.for_full_space();
+        }
+        let session =
+            RoboTuneEngine::new(arms[a].1.clone(), opts).run(&mut j, design, budget, &mut rng);
         (a, session.best_time())
     });
     let mut rows = Vec::new();

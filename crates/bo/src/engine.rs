@@ -2,9 +2,10 @@
 //!
 //! One [`BoEngine::suggest`] + [`BoEngine::observe`] round trip performs
 //! lines 9–13 of the paper's Algorithm 1: fit a GP on the priors, let each
-//! acquisition in the portfolio nominate its optimum, Hedge-select the
-//! point to evaluate, and (on the next fit) reward every acquisition with
-//! the negated posterior mean at its own nominee.
+//! acquisition in the portfolio nominate its optimum from one shared
+//! candidate draw, Hedge-select the point to evaluate, and (on the next
+//! fit) reward every acquisition with the negated posterior mean at its
+//! own nominee.
 
 use std::time::Instant;
 
@@ -16,7 +17,7 @@ use robotune_gp::model::GpModel;
 use crate::acquisition::{AcquisitionKind, ALL_ACQUISITIONS};
 use crate::error::EngineError;
 use crate::hedge::Hedge;
-use crate::optimize::{maximize_acquisition, maximize_acquisition_batch, OptimizeOptions};
+use crate::optimize::{draw_candidates, refine, OptimizeOptions};
 
 /// BO engine configuration.
 #[derive(Debug, Clone)]
@@ -40,12 +41,6 @@ pub struct BoOptions {
     /// Force a single acquisition function instead of the Hedge portfolio
     /// (the paper's design calls for Hedge; this exists for ablations).
     pub acquisition_override: Option<AcquisitionKind>,
-    /// Score acquisition candidates and hedge nominees through the GP's
-    /// batched posterior ([`GpModel::predict_batch`]: one blocked
-    /// triangular solve, chunk-parallel on multi-core hosts) instead of
-    /// point-by-point. Bit-identical suggestions either way; `false`
-    /// exists as the micro-benchmark baseline.
-    pub batched_scoring: bool,
 }
 
 impl Default for BoOptions {
@@ -59,8 +54,21 @@ impl Default for BoOptions {
             refit_every: 5,
             dedup_tol: 1e-6,
             acquisition_override: None,
-            batched_scoring: true,
         }
+    }
+}
+
+impl BoOptions {
+    /// These options for BO over a full, unreduced space rather than a
+    /// selected subspace. The Hedge acquisitions share one candidate draw
+    /// per suggest; here it holds `optimize.candidates` points per
+    /// acquisition, as many as their separate draws used to score. A
+    /// selected subspace (≤ ~10 dimensions) keeps the plain size; over
+    /// the 44-D Spark space a small shared draw lost tuning quality
+    /// (DESIGN.md, "One posterior pass per suggest").
+    pub fn for_full_space(mut self) -> Self {
+        self.optimize.candidates *= ALL_ACQUISITIONS.len();
+        self
     }
 }
 
@@ -236,7 +244,8 @@ impl BoEngine {
     ///
     /// With fewer than two observations the suggestion is uniform random
     /// (there is nothing to model yet). Otherwise: GP fit → pending-gain
-    /// update → per-acquisition nomination → Hedge selection.
+    /// update → one shared candidate draw, scored by one batched posterior
+    /// pass → per-acquisition refinement into nominees → Hedge selection.
     pub fn suggest<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Vec<f64> {
         let _span = robotune_obs::span("bo.suggest");
         let t0 = robotune_obs::is_enabled().then(Instant::now);
@@ -271,11 +280,7 @@ impl BoEngine {
                 .sum::<f64>()
                 / self.ys.len() as f64;
             let std = if var > 0.0 { var.sqrt() } else { 1.0 };
-            let preds: Vec<(f64, f64)> = if self.opts.batched_scoring {
-                model.predict_batch(&nominees)
-            } else {
-                nominees.iter().map(|n| model.predict(n)).collect()
-            };
+            let preds = model.predict_batch(&nominees);
             let mut rewards = [0.0; 3];
             for (r, (mu, _)) in rewards.iter_mut().zip(preds) {
                 *r = -(mu - mean) / std;
@@ -287,34 +292,26 @@ impl BoEngine {
         // the plain fold is total here.
         let best = self.ys.iter().copied().fold(f64::INFINITY, f64::min);
         let (xi, kappa) = (self.opts.xi, self.opts.kappa);
-        let mut nominees: [Vec<f64>; 3] = [Vec::new(), Vec::new(), Vec::new()];
-        for (slot, kind) in nominees.iter_mut().zip(ALL_ACQUISITIONS) {
+        let nominees: [Vec<f64>; 3] = {
             let _acq_span = robotune_obs::span("bo.acq_opt");
-            let pointwise = |p: &[f64]| {
-                let (mu, var) = model.predict(p);
-                kind.score(mu, var.sqrt(), best, xi, kappa)
-            };
-            *slot = if self.opts.batched_scoring {
-                // The 256-candidate global phase goes through one blocked
-                // triangular solve (chunk-parallel on multi-core hosts);
-                // the pattern-search refinement stays pointwise.
-                maximize_acquisition_batch(
-                    |batch| {
-                        model
-                            .predict_batch(batch)
-                            .into_iter()
-                            .map(|(mu, var)| kind.score(mu, var.sqrt(), best, xi, kappa))
-                            .collect()
-                    },
-                    pointwise,
-                    self.dim,
-                    &self.opts.optimize,
-                    rng,
-                )
-            } else {
-                maximize_acquisition(pointwise, self.dim, &self.opts.optimize, rng)
-            };
-        }
+            // As in scikit-optimize's `gp_hedge`, every acquisition scores
+            // the same candidates, from one posterior pass; each then
+            // refines its own best few.
+            let opts = &self.opts.optimize;
+            let candidates = draw_candidates(self.dim, opts, rng);
+            let posterior = model.predict_batch(&candidates);
+            ALL_ACQUISITIONS.map(|kind| {
+                let scores: Vec<f64> = posterior
+                    .iter()
+                    .map(|&(mu, var)| kind.score(mu, var.sqrt(), best, xi, kappa))
+                    .collect();
+                let pointwise = |p: &[f64]| {
+                    let (mu, var) = model.predict(p);
+                    kind.score(mu, var.sqrt(), best, xi, kappa)
+                };
+                refine(&candidates, &scores, pointwise, opts)
+            })
+        };
 
         let chosen_kind = match self.opts.acquisition_override {
             Some(kind) => kind,

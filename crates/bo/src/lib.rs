@@ -10,9 +10,9 @@
 //!   accumulated gains;
 //! * [`optimize`] — acquisition maximisation via random multi-start plus
 //!   pattern-search refinement (the role L-BFGS-B plays in the original);
-//! * [`engine`] — [`engine::BoEngine`], the ask/tell loop: fit GP →
-//!   nominate per-acquisition candidates → Hedge-select → evaluate →
-//!   update gains.
+//! * [`engine`] — [`engine::BoEngine`], the ask/tell loop: fit GP → score
+//!   one shared candidate draw → refine one nominee per acquisition →
+//!   Hedge-select → evaluate → update gains.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -28,4 +28,3 @@ pub use acquisition::{AcquisitionKind, ALL_ACQUISITIONS};
 pub use engine::{BoEngine, BoOptions};
 pub use error::EngineError;
 pub use hedge::Hedge;
-pub use optimize::maximize_acquisition;

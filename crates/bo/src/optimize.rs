@@ -5,10 +5,14 @@
 //! then refine the best few with a coordinate pattern search (step halving
 //! with box clamping). At BO's dimensionalities (≤ ~10 after parameter
 //! selection) this finds acquisition optima reliably and cheaply.
+//!
+//! The two phases are separate calls, [`draw_candidates`] and [`refine`],
+//! so that several acquisitions can share one candidate draw and one
+//! posterior pass over it, as scikit-optimize's `gp_hedge` does.
 
 use rand::Rng;
 
-/// Options for [`maximize_acquisition`].
+/// Options for [`draw_candidates`] and [`refine`].
 #[derive(Debug, Clone)]
 pub struct OptimizeOptions {
     /// Random candidates scored in the global phase.
@@ -32,97 +36,22 @@ impl Default for OptimizeOptions {
     }
 }
 
-/// A scorer the maximiser can query one point at a time (local
-/// refinement) or a whole candidate batch at once (global phase).
-trait AcqScorer {
-    fn score_batch(&mut self, batch: &[Vec<f64>]) -> Vec<f64>;
-    fn score_one(&mut self, p: &[f64]) -> f64;
-}
-
-struct Pointwise<F>(F);
-
-impl<F: FnMut(&[f64]) -> f64> AcqScorer for Pointwise<F> {
-    fn score_batch(&mut self, batch: &[Vec<f64>]) -> Vec<f64> {
-        batch.iter().map(|p| (self.0)(p)).collect()
-    }
-
-    fn score_one(&mut self, p: &[f64]) -> f64 {
-        (self.0)(p)
-    }
-}
-
-struct Batched<B, F> {
-    batch: B,
-    one: F,
-}
-
-impl<B, F> AcqScorer for Batched<B, F>
-where
-    B: FnMut(&[Vec<f64>]) -> Vec<f64>,
-    F: FnMut(&[f64]) -> f64,
-{
-    fn score_batch(&mut self, batch: &[Vec<f64>]) -> Vec<f64> {
-        (self.batch)(batch)
-    }
-
-    fn score_one(&mut self, p: &[f64]) -> f64 {
-        (self.one)(p)
-    }
-}
-
-/// Maximises `score` over `[0, 1]^dim`; returns the best point found.
+/// The global phase's random scatter: `opts.candidates` uniform points in
+/// `[0, 1]^dim`, drawn point by point, coordinate by coordinate.
 ///
 /// # Panics
 ///
 /// Panics if `dim == 0` or the candidate budget is zero.
-pub fn maximize_acquisition<F, R>(
-    score: F,
+pub fn draw_candidates<R: Rng + ?Sized>(
     dim: usize,
     opts: &OptimizeOptions,
     rng: &mut R,
-) -> Vec<f64>
-where
-    F: FnMut(&[f64]) -> f64,
-    R: Rng + ?Sized,
-{
-    maximize_with(&mut Pointwise(score), dim, opts, rng)
-}
-
-/// Like [`maximize_acquisition`], but the global phase's candidate batch
-/// is scored through `batch_score` in one call — the hook for GP
-/// [`predict_batch`](robotune_gp::GpModel::predict_batch)-backed scoring.
-/// `score` remains the pointwise scorer the local pattern search uses.
-///
-/// When `batch_score` returns, element-for-element, exactly what `score`
-/// would return on each candidate, the result is bit-identical to
-/// [`maximize_acquisition`] with the same RNG: candidates are drawn in the
-/// same order and scoring consumes no randomness.
-///
-/// # Panics
-///
-/// Panics if `dim == 0`, the candidate budget is zero, or `batch_score`
-/// returns a vector of the wrong length.
-pub fn maximize_acquisition_batch<B, F, R>(
-    batch_score: B,
-    score: F,
-    dim: usize,
-    opts: &OptimizeOptions,
-    rng: &mut R,
-) -> Vec<f64>
-where
-    B: FnMut(&[Vec<f64>]) -> Vec<f64>,
-    F: FnMut(&[f64]) -> f64,
-    R: Rng + ?Sized,
-{
-    maximize_with(
-        &mut Batched {
-            batch: batch_score,
-            one: score,
-        },
-        dim,
-        opts,
-        rng,
-    )
+) -> Vec<Vec<f64>> {
+    assert!(dim > 0, "dimension must be positive");
+    assert!(opts.candidates > 0, "need at least one candidate");
+    (0..opts.candidates)
+        .map(|_| (0..dim).map(|_| rng.gen::<f64>()).collect())
+        .collect()
 }
 
 /// Pattern-search scores memoised by the exact coordinate bits, stored
@@ -164,35 +93,36 @@ impl Seen {
     }
 }
 
-fn maximize_with<S, R>(scorer: &mut S, dim: usize, opts: &OptimizeOptions, rng: &mut R) -> Vec<f64>
+/// The local phase: ranks `candidates` by `scores` (descending, ties in
+/// candidate order), refines the best `opts.refine_top` by coordinate
+/// pattern search under `score`, and returns the best point found.
+/// `scores[i]` must be what `score` returns on `candidates[i]`. Consumes no
+/// randomness.
+///
+/// # Panics
+///
+/// Panics if `candidates` is empty or `scores` differs from it in length.
+pub fn refine<F>(candidates: &[Vec<f64>], scores: &[f64], mut score: F, opts: &OptimizeOptions) -> Vec<f64>
 where
-    S: AcqScorer + ?Sized,
-    R: Rng + ?Sized,
+    F: FnMut(&[f64]) -> f64,
 {
-    assert!(dim > 0, "dimension must be positive");
-    assert!(opts.candidates > 0, "need at least one candidate");
+    assert!(!candidates.is_empty(), "need at least one candidate");
+    assert_eq!(scores.len(), candidates.len(), "one score per candidate");
+    let dim = candidates[0].len();
+    let mut order: Vec<usize> = (0..candidates.len()).collect();
+    order.sort_by(|&a, &b| scores[b].total_cmp(&scores[a]));
+    order.truncate(opts.refine_top.max(1));
 
-    // Global phase: random scatter. All candidates are drawn before any
-    // scoring — the same RNG stream as the historical draw-score-draw
-    // loop, since scoring never consumed randomness.
-    let cands: Vec<Vec<f64>> = (0..opts.candidates)
-        .map(|_| (0..dim).map(|_| rng.gen::<f64>()).collect())
-        .collect();
-    let scores = scorer.score_batch(&cands);
-    assert_eq!(scores.len(), cands.len(), "batch scorer returned wrong length");
-    let mut scored: Vec<(f64, Vec<f64>)> = scores.into_iter().zip(cands).collect();
-    scored.sort_by(|a, b| b.0.total_cmp(&a.0));
-    scored.truncate(opts.refine_top.max(1));
-
-    // Local phase: coordinate pattern search from each survivor. The
-    // memo is reset at every step size, which keeps it small enough for a
-    // linear scan and still answers 19% of the pointwise scores on the
-    // paper protocol. A memo spanning the whole phase answered 26%, but
-    // holding every point of the search raised the served benchmark's
-    // median peak RSS from 12.4 to 13.5 MiB, with no measurable saving.
+    // Coordinate pattern search from each survivor. The memo is reset at
+    // every step size, which keeps it small enough for a linear scan and
+    // still answers 19% of the pointwise scores on the paper protocol. A
+    // memo spanning the whole phase answered 26%, but holding every point
+    // of the search raised the served benchmark's median peak RSS from
+    // 12.4 to 13.5 MiB, with no measurable saving.
     let mut seen = Seen::new(dim);
-    let mut best = scored[0].clone();
-    for (mut fx, mut x) in scored {
+    let mut best = (scores[order[0]], candidates[order[0]].clone());
+    for i in order {
+        let (mut fx, mut x) = (scores[i], candidates[i].clone());
         let mut step = opts.initial_step;
         for _ in 0..=opts.halvings {
             seen.clear();
@@ -207,7 +137,7 @@ where
                             continue;
                         }
                         x[d] = cand;
-                        let f = seen.score(&x, |p| scorer.score_one(p));
+                        let f = seen.score(&x, &mut score);
                         if f > fx {
                             fx = f;
                             improved = true;
@@ -230,6 +160,18 @@ where
 mod tests {
     use super::*;
     use robotune_stats::rng_from_seed;
+
+    /// Maximises `score` over `[0, 1]^dim`: draw, score each, refine.
+    fn maximize_acquisition(
+        mut score: impl FnMut(&[f64]) -> f64,
+        dim: usize,
+        opts: &OptimizeOptions,
+        rng: &mut impl Rng,
+    ) -> Vec<f64> {
+        let candidates = draw_candidates(dim, opts, rng);
+        let scores: Vec<f64> = candidates.iter().map(|p| score(p)).collect();
+        refine(&candidates, &scores, score, opts)
+    }
 
     #[test]
     fn finds_an_interior_peak() {
@@ -270,24 +212,6 @@ mod tests {
         };
         let x = maximize_acquisition(f, 1, &OptimizeOptions::default(), &mut rng);
         assert!((x[0] - 0.8).abs() < 0.02, "x = {}", x[0]);
-    }
-
-    #[test]
-    fn batch_scoring_is_bit_identical_to_pointwise() {
-        let f = |p: &[f64]| {
-            -(p[0] - 0.37).powi(2) - (p[1] - 0.61).powi(2) + (p[0] * 9.0).sin() * 0.01
-        };
-        let mut rng_a = rng_from_seed(7);
-        let pointwise = maximize_acquisition(f, 2, &OptimizeOptions::default(), &mut rng_a);
-        let mut rng_b = rng_from_seed(7);
-        let batched = maximize_acquisition_batch(
-            |batch| batch.iter().map(|p| f(p)).collect(),
-            f,
-            2,
-            &OptimizeOptions::default(),
-            &mut rng_b,
-        );
-        assert_eq!(pointwise, batched);
     }
 
     #[test]

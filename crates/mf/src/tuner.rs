@@ -22,7 +22,8 @@ pub struct HyperbandBoOptions {
     /// the rest goes to full-fidelity BO. Clamped so at least one
     /// evaluation lands on each side of the split (budget permitting).
     pub explore_frac: f64,
-    /// The BO engine configuration for the finishing phase.
+    /// The BO engine configuration for the finishing phase, which
+    /// searches the full space (see [`BoOptions::for_full_space`]).
     pub bo: BoOptions,
     /// Stop-threshold policy of the BO phase (median-multiple over the
     /// full-fidelity completions, as in the single-fidelity ROBOTune
@@ -37,7 +38,7 @@ impl Default for HyperbandBoOptions {
         HyperbandBoOptions {
             hyperband: HyperbandOptions::default(),
             explore_frac: 0.6,
-            bo: BoOptions::default(),
+            bo: BoOptions::default().for_full_space(),
             threshold: ThresholdPolicy::MedianMultiple { multiple: 3.0, max: 480.0 },
             retry: RetryPolicy::default(),
         }
@@ -48,13 +49,13 @@ impl HyperbandBoOptions {
     /// A cheaper profile for tests: lighter acquisition optimisation and
     /// hyperparameter fitting, same algorithmic structure.
     pub fn fast() -> Self {
-        let mut o = HyperbandBoOptions::default();
-        o.bo.hyper.restarts = 1;
-        o.bo.hyper.evals_per_restart = 40;
-        o.bo.optimize.candidates = 48;
-        o.bo.optimize.halvings = 3;
-        o.bo.refit_every = 8;
-        o
+        let mut bo = BoOptions::default();
+        bo.hyper.restarts = 1;
+        bo.hyper.evals_per_restart = 40;
+        bo.optimize.candidates = 48;
+        bo.optimize.halvings = 3;
+        bo.refit_every = 8;
+        HyperbandBoOptions { bo: bo.for_full_space(), ..HyperbandBoOptions::default() }
     }
 }
 

@@ -1,11 +1,10 @@
 //! GP hot-path equivalence and NaN-robustness tests.
 //!
-//! The optimized GP pipeline (shared distance cache, parallel multi-start
-//! hyperfit, batched posterior scoring) must replay the *pre-change*
-//! serial path bit for bit at a fixed seed: same RNG stream, same
-//! arithmetic, same suggestions. The `Reference` fit strategy plus
-//! unbatched scoring preserves the historical code path exactly, so the
-//! trajectories below compare with `assert_eq!` on raw `f64`s, not
+//! The optimized hyperfit (shared distance cache, parallel multi-start
+//! restarts) must replay the *pre-change* serial fit bit for bit at a
+//! fixed seed: same RNG stream, same arithmetic, same suggestions. The
+//! `Reference` fit strategy preserves the historical hyperfit exactly, so
+//! the trajectories below compare with `assert_eq!` on raw `f64`s, not
 //! tolerances.
 
 use proptest::prelude::*;
@@ -49,7 +48,6 @@ fn reference_opts() -> BoOptions {
             strategy: FitStrategy::Reference,
             ..HyperFitOptions::default()
         },
-        batched_scoring: false,
         ..BoOptions::default()
     }
 }
@@ -61,7 +59,7 @@ fn optimized_pipeline_replays_the_reference_trajectory_bit_for_bit() {
         let reference = trajectory(reference_opts(), seed);
         assert_eq!(
             optimized, reference,
-            "seed {seed}: distance cache + parallel hyperfit + batched scoring \
+            "seed {seed}: distance cache + parallel hyperfit \
              must not change a single bit of the tuning trajectory"
         );
     }

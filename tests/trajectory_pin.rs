@@ -53,29 +53,29 @@ const TS_TIME_BITS: [&[u64]; 2] = [
         0x405d12a19b92fc76, 0x4059de7e8537cd8f, 0x40619cd5b35d1b66,
         0x4056b9f91cb7d5e5, 0x4059b449311965e3, 0x405c979a5877457c,
         0x4057307619cf6379, 0x40708228f8c2664b, 0x40662a054f419459,
-        0x4051e343db4ac111, 0x40583680db1016fa, 0x405547a69bf0cf4e,
-        0x40265bdd68774c08, 0x4056b04e05b36fa9, 0x405b57f568d00246,
-        0x4060ecfbce83f35b, 0x405769f220900553, 0x40548ecfaa329fc8,
-        0x405cee30b99c0be5, 0x4053af82a20a6fed, 0x4055d3b8c62c339d,
+        0x4051e343db4ac111, 0x40583680db1016fa, 0x405392b1af0382ec,
+        0x40265bdd68774c08, 0x4056b05142265851, 0x405425ecaf0e4bff,
+        0x4057cd5549c914da, 0x405cd766933976dd, 0x405b10f6dcb68097,
+        0x405dd1ced207a4af, 0x40569e27122fec57, 0x4061596c81c2fc61,
     ],
     &[
-        0x405d4a0e2cb3b7a9, 0x405b10ef1ede77c3, 0x4059a13abfcb2b09,
-        0x405e7fb78db24705, 0x40632a05c8ce7f22, 0x40634dc5eb4d911d,
-        0x40632c9f5d926d0c, 0x4061064ea99ab440, 0x4078349fd456e1d2,
-        0x402824ed0fa21562, 0x4063f7076dcddc7b, 0x4060149b778b204f,
-        0x406441be4a26545c, 0x40798975fe680e60, 0x4077b99be8a26cfa,
-        0x4062d0e25a360089, 0x4062f1f647fc6c80, 0x4063579be4c765d1,
-        0x4062f1b624d6dc27, 0x405c55749a45bd4e, 0x4062865000c49c36,
-        0x4060a4acd31e453c, 0x4062855cd6a558d5, 0x4060eb838c3a47d7,
-        0x406270febc1558a6, 0x406421efb803945c, 0x405e097945d469e7,
-        0x405d4387e9d090d8, 0x4063106983954802, 0x4062ad3a1b1bbb04,
+        0x405d4a0e2cb3b7a9, 0x405b0f99dbe1fe7f, 0x405a5630439a082b,
+        0x405f495a4e53dc5b, 0x4062dec8cacff909, 0x4062d69123d460bf,
+        0x4076b7472e22d782, 0x4076b7472e22d782, 0x4063c54259279712,
+        0x405cabd982907964, 0x4061ab7fdb08c829, 0x406391cede9f8ea4,
+        0x40647fb9889faaf9, 0x406369d2461eb737, 0x4065278613d791e4,
+        0x40639a8e108d6bb6, 0x4028b8fdb2d67dde, 0x40626d72e91fed7e,
+        0x4064180df74ec1de, 0x405f83e7d907836c, 0x4059cab4f16ab77d,
+        0x406515f96d246e64, 0x40276ccfaf901340, 0x4064b7692c9afa96,
+        0x40646b3db16dd346, 0x40650aceca0e8462, 0x4065274dd80b8df8,
+        0x4064118ae0b1fdb3, 0x40637652bfadaa15, 0x406384fc2cfcb300,
     ],
 ];
 /// FNV-1a over the cold session's ranked group importances (member
 /// indices and importance bits, in rank order).
 const TS_IMPORTANCE_FNV: u64 = 0x30df197c42db86a0;
 /// FNV-1a over every evaluated unit-cube point of both sessions.
-const TS_POINTS_FNV: u64 = 0xc2fd7e4db3c3196c;
+const TS_POINTS_FNV: u64 = 0x9276718e4c27f72a;
 
 #[test]
 fn robotune_cold_then_warm_session_is_pinned() {
@@ -122,23 +122,23 @@ fn robotune_cold_then_warm_session_is_pinned() {
 /// smooth 4-D objective, after 20 random observations.
 const BO_SEED: u64 = 11;
 const BO_Y_BITS: &[u64] = &[
-    0x3fda2033d2538541, 0x3fa50098b3981504, 0x3f9a5cf4b4c99a22,
-    0x3f9c06a343cc2aa7, 0x3f9a7681171e71e4, 0x3fd0249838d90e26,
-    0x3fda4116144c4758, 0x3f99fd7ea46251d0, 0x3fe388164a9df732,
-    0x3f97ea99d04ec131, 0x3ff17c4f94387c68, 0x3f9637bf61f14078,
-    0x3f966cd1f375d149, 0x3f96c64f06cec595, 0x3f9646b17cf42bba,
-    0x3f963b1b8c59a86e, 0x3f9613d7655fd991, 0x3f967deee364bff2,
-    0x3f9617f9b9597a30, 0x3f96714026fcee35, 0x3f9666075a936924,
-    0x3f9619d5ae7420db, 0x3f966c5af57786a5, 0x3f961b69bb97756a,
-    0x3f967d216d4b9626, 0x3f9667e3a0209ba4, 0x3f9616ef63214818,
-    0x3f96817c1084c4f5, 0x3f961a21b00f805a, 0x3f9670cac28275a4,
+    0x3fda279a2b865940, 0x3fa5012af31a2116, 0x3f9a36546673aaea,
+    0x3f9d41528d895ade, 0x3fd48008ae68f73c, 0x3f98732d84f7ab2a,
+    0x3fda4023489c5b83, 0x3f9e29c54c531d89, 0x3fdb3425d3ac0e5d,
+    0x3f97fab47c8578e2, 0x3f9628ecc851b858, 0x3f961075d6cdb982,
+    0x3f962089ce65bcb7, 0x3f9619451044acfe, 0x3f965d7ccf770735,
+    0x3f9665dcd714557e, 0x3f962360623035a0, 0x3f9670bcb8e044ee,
+    0x3f9661183c76cd14, 0x3f962610122f0d7c, 0x3f966d4e3cd07950,
+    0x3f965ce0fc4ba594, 0x3f9678ccf60da1aa, 0x3f96169c13fcf6d6,
+    0x3f9666c63d353b76, 0x3f964d53f0562ba8, 0x3f9654423696c787,
+    0x3f961db556bfde44, 0x3f96784d3a8c3253, 0x3f964e70c616a900,
 ];
 /// FNV-1a over every suggested point.
-const BO_POINTS_FNV: u64 = 0x1a2cd26ce47ce04f;
+const BO_POINTS_FNV: u64 = 0xeb1660f855e1c2a3;
 /// FNV-1a over the final model's posterior (mean, variance) bits on a
 /// fixed grid. Trajectories only move when a changed bit flips a
 /// comparison; this catches the changed bit itself.
-const BO_POSTERIOR_FNV: u64 = 0x62ffbb7ccea1c5b2;
+const BO_POSTERIOR_FNV: u64 = 0xade222bc5650c073;
 
 #[test]
 fn bo_engine_trajectory_is_pinned() {
