@@ -1,32 +1,31 @@
 //! Maximum-likelihood GP hyperparameter fitting.
 //!
 //! Optimises `(log ℓ, log σ², log σ_n²)` of a Matérn 5/2 + white-noise GP
-//! by multi-start Nelder–Mead on the log marginal likelihood. Targets are
+//! (for ARD, one `log ℓ` per dimension) by multi-start bounded
+//! quasi-Newton ([`crate::bfgs`]) on the log marginal likelihood and its
+//! analytic gradient ([`PreparedData::log_marginal_grad`]) — the ML-II
+//! fit scikit-learn's GP regressor performs with L-BFGS-B. Targets are
 //! standardised inside [`crate::model::GpModel`], so the same search box
 //! works across workloads.
 //!
-//! The hot path is engineered around two observations:
-//!
-//! * every likelihood evaluation shares the same training set, so the
-//!   pairwise distances and standardised targets are computed **once**
-//!   ([`PreparedData`]) instead of being cloned and rebuilt per candidate;
-//! * the restarts are independent, so they run on scoped threads
-//!   ([`FitStrategy::Parallel`]) with a deterministic best-of selection
-//!   (lowest negative log-marginal-likelihood, lowest restart index on
-//!   ties) — the chosen hyperparameters are byte-identical to the serial
-//!   path, and the start points are drawn from the caller's RNG *before*
-//!   any thread spawns, so the RNG stream (and with it the whole tuning
-//!   trajectory) matches the historical serial implementation bit for bit.
+//! Every likelihood evaluation shares the same training set, so the
+//! pairwise distances and standardised targets are computed **once**
+//! ([`PreparedData`]). The restarts are independent, so they run on
+//! scoped threads ([`FitStrategy::Parallel`]) with a deterministic best-of
+//! selection (lowest negative log-marginal-likelihood, lowest restart
+//! index on ties): the chosen hyperparameters are byte-identical to the
+//! serial path. The start points are drawn from the caller's RNG *before*
+//! any work, so the RNG stream does not depend on how the fit went.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use rand::Rng;
 
+use crate::bfgs::{minimize, Minimum, Objective};
 use crate::error::GpError;
 use crate::kernel::{Kernel, Matern52, Matern52Ard};
 use crate::model::GpModel;
-use crate::opt::{nelder_mead, NmResult};
-use crate::prepared::PreparedData;
+use crate::prepared::{LikelihoodAt, PreparedData};
 
 /// Monotone sequence number shared by every `diag.gp.fit` event in the
 /// process, so per-session subsequences of the series stay monotone too.
@@ -69,20 +68,13 @@ pub const FALLBACK_NOISE: f64 = 1e-4;
 /// How [`fit_gp`] / [`fit_gp_ard`] execute their multi-start restarts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FitStrategy {
-    /// Distance-cached likelihood evaluations with restarts spread over
-    /// `std::thread::scope` threads (one per start, bounded by the host's
-    /// parallelism). The default.
+    /// Restarts spread over `std::thread::scope` threads (one per start,
+    /// bounded by the host's parallelism). The default.
     #[default]
     Parallel,
-    /// Distance-cached likelihood evaluations with restarts run serially
-    /// on the calling thread. Same arithmetic as [`FitStrategy::Parallel`];
-    /// results are byte-identical.
+    /// Restarts run serially on the calling thread. Same arithmetic as
+    /// [`FitStrategy::Parallel`]; results are byte-identical.
     Serial,
-    /// The historical implementation: a full [`GpModel::fit`] — coordinate
-    /// clone, distance recomputation, kernel rebuild — per likelihood
-    /// evaluation, restarts serial. Kept as the micro-benchmark baseline
-    /// and the oracle for equivalence tests.
-    Reference,
 }
 
 /// Options for [`fit_gp`].
@@ -90,7 +82,8 @@ pub enum FitStrategy {
 pub struct HyperFitOptions {
     /// Number of random restarts in addition to the default start point.
     pub restarts: usize,
-    /// Nelder–Mead evaluation budget per restart.
+    /// Likelihood evaluation budget per restart (a cap: a restart usually
+    /// converges well before it).
     pub evals_per_restart: usize,
     /// Bounds on `log ℓ` (unit-cube length scales).
     pub log_length_bounds: (f64, f64),
@@ -118,31 +111,61 @@ impl Default for HyperFitOptions {
     }
 }
 
-fn clamp3(theta: &[f64], opts: &HyperFitOptions) -> (f64, f64, f64) {
-    (
-        theta[0].clamp(opts.log_length_bounds.0, opts.log_length_bounds.1),
-        theta[1].clamp(opts.log_variance_bounds.0, opts.log_variance_bounds.1),
-        theta[2].clamp(opts.log_noise_bounds.0, opts.log_noise_bounds.1),
-    )
+/// The search box over `dim_scales` log length scales, log variance and
+/// log noise.
+fn log_param_bounds(opts: &HyperFitOptions, dim_scales: usize) -> Vec<(f64, f64)> {
+    let mut b = vec![opts.log_length_bounds; dim_scales];
+    b.push(opts.log_variance_bounds);
+    b.push(opts.log_noise_bounds);
+    b
 }
 
-/// Runs one Nelder–Mead restart per start point, serially or on scoped
-/// threads. The result vector is indexed by start, independent of thread
-/// scheduling, so downstream selection is deterministic either way.
-fn run_restarts<F>(starts: &[Vec<f64>], parallel: bool, evals: usize, neg_lml: &F) -> Vec<NmResult>
-where
-    F: Fn(&[f64]) -> f64 + Sync,
-{
+/// The default start point followed by `opts.restarts` uniform draws
+/// from the box, all taken from `rng` before any fitting work.
+fn draw_starts<R: Rng + ?Sized>(
+    bounds: &[(f64, f64)],
+    opts: &HyperFitOptions,
+    rng: &mut R,
+) -> Vec<Vec<f64>> {
+    let dim_scales = bounds.len() - 2;
+    let mut start = vec![(0.5f64).ln(); dim_scales];
+    start.push(0.0);
+    start.push((1e-3f64).ln());
+    let mut starts = vec![start];
+    for _ in 0..opts.restarts {
+        starts.push(
+            bounds
+                .iter()
+                .map(|&(lo, hi)| rng.gen_range(lo..hi))
+                .collect(),
+        );
+    }
+    starts
+}
+
+/// Minimises the negative log marginal likelihood of `data` from every
+/// start, serially or on scoped threads, and returns the best point. The
+/// result vector is indexed by start, independent of thread scheduling,
+/// so the selection is deterministic either way.
+fn best_restart(
+    data: &PreparedData,
+    starts: &[Vec<f64>],
+    bounds: &[(f64, f64)],
+    parallel: bool,
+    evals: usize,
+) -> Option<Vec<f64>> {
+    let neg_lml = NegLml(data);
     let workers = if parallel {
         crate::host_parallelism()
     } else {
         1
     };
-    let results: Vec<NmResult> = if workers > 1 && starts.len() > 1 {
+    let results: Vec<Minimum> = if workers > 1 && starts.len() > 1 {
         // Carry the caller's trace context across the scoped-thread
         // boundary so each restart's span links back to the enclosing
         // `gp.hyperfit` span instead of rendering as an orphan.
         let ctx = robotune_obs::TraceCtx::current();
+        let neg_lml = &neg_lml;
         std::thread::scope(|s| {
             let handles: Vec<_> = starts
                 .iter()
@@ -150,7 +173,7 @@ where
                     s.spawn(move || {
                         let _trace = robotune_obs::adopt(ctx);
                         let _span = robotune_obs::span("gp.hyperfit_restart");
-                        nelder_mead(neg_lml, st, 0.7, evals, 1e-8)
+                        minimize(neg_lml, st, bounds, evals)
                     })
                 })
                 .collect();
@@ -165,20 +188,37 @@ where
     } else {
         starts
             .iter()
-            .map(|st| nelder_mead(neg_lml, st, 0.7, evals, 1e-8))
+            .map(|st| minimize(&neg_lml, st, bounds, evals))
             .collect()
     };
     for r in &results {
         robotune_obs::incr("gp.hyperfit_restart", 1);
         robotune_obs::record("gp.hyperfit_evals", r.evals as f64);
     }
-    results
+    select_best(results)
+}
+
+/// The negative log marginal likelihood of a training set, in
+/// log-hyperparameters: what the hyperfit minimises.
+struct NegLml<'a>(&'a PreparedData);
+
+impl Objective for NegLml<'_> {
+    type At = LikelihoodAt;
+
+    fn value(&self, theta: &[f64]) -> Option<(f64, LikelihoodAt)> {
+        let at = self.0.log_marginal_at(theta).ok()?;
+        Some((-at.lml, at))
+    }
+
+    fn gradient(&self, at: LikelihoodAt, g: &mut [f64]) {
+        self.0.gradient(at, g);
+        g.iter_mut().for_each(|v| *v = -*v);
+    }
 }
 
 /// Picks the restart with the best (lowest) finite negative LML. Ties
-/// break on the lowest restart index — the same winner the historical
-/// serial first-strict-minimum loop produced.
-fn select_best(results: Vec<NmResult>) -> Option<Vec<f64>> {
+/// break on the lowest restart index.
+fn select_best(results: Vec<Minimum>) -> Option<Vec<f64>> {
     let mut best: Option<(f64, Vec<f64>)> = None;
     for r in results {
         if r.fx.is_finite()
@@ -192,13 +232,39 @@ fn select_best(results: Vec<NmResult>) -> Option<Vec<f64>> {
     best.map(|(_, t)| t)
 }
 
+/// Fits the model at the optimised `theta`, or — counted under
+/// `gp.hyperfit_fallback` — at the documented fallback values when no
+/// restart produced a finite likelihood or the optimum fails to factor.
+/// A fallback that cannot be factored either is
+/// [`GpError::HyperFitFailed`].
+fn fit_or_fallback<K: crate::prepared::CachedKernel>(
+    data: &PreparedData,
+    theta: Option<Vec<f64>>,
+    kernel: impl Fn(&[f64]) -> K,
+    fallback_kernel: K,
+) -> (Result<GpModel<K>, GpError>, bool) {
+    let p = data.n_log_params();
+    if let Some(t) = theta {
+        if let Ok(m) = GpModel::fit_prepared(data, kernel(&t), t[p - 1].exp()) {
+            return (Ok(m), false);
+        }
+    }
+    robotune_obs::incr("gp.hyperfit_fallback", 1);
+    let fitted =
+        GpModel::fit_prepared(data, fallback_kernel, FALLBACK_NOISE).map_err(|e| match e {
+            GpError::Singular(le) => GpError::HyperFitFailed(le),
+            other => other,
+        });
+    (fitted, true)
+}
+
 /// Fits a Matérn 5/2 + white-noise GP with ML-II hyperparameters.
 ///
 /// Returns the fitted model with the best marginal likelihood found over
 /// all restarts. Falls back to the documented defaults
 /// ([`FALLBACK_LENGTH_SCALE`] = 0.5, [`FALLBACK_VARIANCE`] = 1,
 /// [`FALLBACK_NOISE`] = 1e-4) — counted under `gp.hyperfit_fallback` — if
-/// every optimised candidate fails to factor, and to a typed [`GpError`],
+/// no optimised candidate can be factored, and to a typed [`GpError`],
 /// never a panic, when even the fallback cannot be factored or the inputs
 /// are unusable (empty set, NaN targets).
 pub fn fit_gp<R: Rng + ?Sized>(
@@ -208,107 +274,29 @@ pub fn fit_gp<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> Result<GpModel<Matern52>, GpError> {
     let _span = robotune_obs::span("gp.hyperfit");
-    // Start points are drawn from the caller's RNG here, before any
-    // strategy-specific work: every strategy consumes the same stream.
-    let mut starts = vec![vec![(0.5f64).ln(), 0.0, (1e-3f64).ln()]];
-    for _ in 0..opts.restarts {
-        starts.push(vec![
-            rng.gen_range(opts.log_length_bounds.0..opts.log_length_bounds.1),
-            rng.gen_range(opts.log_variance_bounds.0..opts.log_variance_bounds.1),
-            rng.gen_range(opts.log_noise_bounds.0..opts.log_noise_bounds.1),
-        ]);
-    }
-
-    if opts.strategy == FitStrategy::Reference {
-        return fit_gp_reference(x, y, opts, &starts);
-    }
-
+    let bounds = log_param_bounds(opts, 1);
+    let starts = draw_starts(&bounds, opts, rng);
     let data = PreparedData::prepare(x.to_vec(), y)?;
-    let neg_lml = |theta: &[f64]| -> f64 {
-        let (ll, lv, ln) = clamp3(theta, opts);
-        match data.log_marginal(&Matern52::new(ll.exp(), lv.exp()), ln.exp()) {
-            Ok(l) => -l,
-            Err(_) => f64::INFINITY,
-        }
-    };
-
     let parallel = opts.strategy == FitStrategy::Parallel;
-    let results = run_restarts(&starts, parallel, opts.evals_per_restart, &neg_lml);
-    let mut fallback = false;
-    let theta = select_best(results).unwrap_or_else(|| {
-        // No restart produced a finite likelihood: every degraded fit is
-        // accounted for, including this one.
-        robotune_obs::incr("gp.hyperfit_fallback", 1);
-        fallback = true;
-        vec![FALLBACK_LENGTH_SCALE.ln(), FALLBACK_VARIANCE.ln(), FALLBACK_NOISE.ln()]
-    });
-    let (ll, lv, ln) = clamp3(&theta, opts);
-    let fitted = GpModel::fit_prepared(&data, Matern52::new(ll.exp(), lv.exp()), ln.exp())
-        .or_else(|_| {
-            // Optimised hyperparameters failed to factor: retry once with
-            // the safe defaults, then report the typed failure instead of
-            // panicking — the caller degrades to a non-surrogate proposal.
-            robotune_obs::incr("gp.hyperfit_fallback", 1);
-            fallback = true;
-            GpModel::fit_prepared(
-                &data,
-                Matern52::new(FALLBACK_LENGTH_SCALE, FALLBACK_VARIANCE),
-                FALLBACK_NOISE,
-            )
-            .map_err(|e| match e {
-                GpError::Singular(le) => GpError::HyperFitFailed(le),
-                other => other,
-            })
-        });
+    let theta = best_restart(&data, &starts, &bounds, parallel, opts.evals_per_restart);
+    let (fitted, fallback) = fit_or_fallback(
+        &data,
+        theta,
+        |t| Matern52::new(t[0].exp(), t[1].exp()),
+        Matern52::new(FALLBACK_LENGTH_SCALE, FALLBACK_VARIANCE),
+    );
     if let Ok(m) = &fitted {
         emit_fit_diag(&[m.kernel().length_scale], m.kernel().variance, fallback, m);
     }
     fitted
 }
 
-/// The historical `fit_gp` body: one full `GpModel::fit` per likelihood
-/// evaluation, serial restarts. Benchmark baseline and equivalence oracle.
-fn fit_gp_reference(
-    x: &[Vec<f64>],
-    y: &[f64],
-    opts: &HyperFitOptions,
-    starts: &[Vec<f64>],
-) -> Result<GpModel<Matern52>, GpError> {
-    let neg_lml = |theta: &[f64]| -> f64 {
-        let (ll, lv, ln) = clamp3(theta, opts);
-        match GpModel::fit(x.to_vec(), y, Matern52::new(ll.exp(), lv.exp()), ln.exp()) {
-            Ok(m) => -m.log_marginal_likelihood(),
-            Err(_) => f64::INFINITY,
-        }
-    };
-
-    let results = run_restarts(starts, false, opts.evals_per_restart, &neg_lml);
-    let theta = select_best(results).unwrap_or_else(|| {
-        robotune_obs::incr("gp.hyperfit_fallback", 1);
-        vec![FALLBACK_LENGTH_SCALE.ln(), FALLBACK_VARIANCE.ln(), FALLBACK_NOISE.ln()]
-    });
-    let (ll, lv, ln) = clamp3(&theta, opts);
-    GpModel::fit(x.to_vec(), y, Matern52::new(ll.exp(), lv.exp()), ln.exp()).or_else(|_| {
-        robotune_obs::incr("gp.hyperfit_fallback", 1);
-        GpModel::fit(
-            x.to_vec(),
-            y,
-            Matern52::new(FALLBACK_LENGTH_SCALE, FALLBACK_VARIANCE),
-            FALLBACK_NOISE,
-        )
-        .map_err(|e| match e {
-            GpError::Singular(le) => GpError::HyperFitFailed(le),
-            other => other,
-        })
-    })
-}
-
 /// Fits an ARD Matérn 5/2 + white-noise GP with ML-II hyperparameters:
-/// `d` log length scales plus log variance and log noise, optimised by
-/// multi-start Nelder–Mead. Uses the same distance cache, parallel
-/// restarts, documented fallback values and `gp.hyperfit_fallback`
-/// accounting as [`fit_gp`]. Degenerate inputs yield a typed [`GpError`],
-/// never a panic.
+/// `d` log length scales plus log variance and log noise, optimised like
+/// [`fit_gp`] from the same kind of starts. Uses the same distance cache,
+/// parallel restarts, documented fallback values and
+/// `gp.hyperfit_fallback` accounting. Degenerate inputs yield a typed
+/// [`GpError`], never a panic.
 pub fn fit_gp_ard<R: Rng + ?Sized>(
     x: &[Vec<f64>],
     y: &[f64],
@@ -317,105 +305,29 @@ pub fn fit_gp_ard<R: Rng + ?Sized>(
 ) -> Result<GpModel<Matern52Ard>, GpError> {
     let _span = robotune_obs::span("gp.hyperfit_ard");
     let Some(first) = x.first() else {
-        return Err(GpError::InvalidInput("cannot fit a GP on zero observations"));
+        return Err(GpError::InvalidInput(
+            "cannot fit a GP on zero observations",
+        ));
     };
     let d = first.len();
-    let clamp = |theta: &[f64]| -> (Vec<f64>, f64, f64) {
-        let scales: Vec<f64> = theta[..d]
-            .iter()
-            .map(|&t| t.clamp(opts.log_length_bounds.0, opts.log_length_bounds.1).exp())
-            .collect();
-        let v = theta[d]
-            .clamp(opts.log_variance_bounds.0, opts.log_variance_bounds.1)
-            .exp();
-        let n = theta[d + 1]
-            .clamp(opts.log_noise_bounds.0, opts.log_noise_bounds.1)
-            .exp();
-        (scales, v, n)
-    };
-
-    let mut start = vec![(0.5f64).ln(); d];
-    start.push(0.0);
-    start.push((1e-3f64).ln());
-    let mut starts = vec![start];
-    for _ in 0..opts.restarts {
-        let mut s: Vec<f64> = (0..d)
-            .map(|_| rng.gen_range(opts.log_length_bounds.0..opts.log_length_bounds.1))
-            .collect();
-        s.push(rng.gen_range(opts.log_variance_bounds.0..opts.log_variance_bounds.1));
-        s.push(rng.gen_range(opts.log_noise_bounds.0..opts.log_noise_bounds.1));
-        starts.push(s);
+    if d == 0 {
+        return Err(GpError::InvalidInput(
+            "cannot fit an ARD kernel on zero dimensions",
+        ));
     }
-
+    let bounds = log_param_bounds(opts, d);
+    let starts = draw_starts(&bounds, opts, rng);
+    let data = PreparedData::prepare_ard(x.to_vec(), y)?;
     // ARD has d+2 parameters; scale the evaluation budget with dimension.
     let evals = opts.evals_per_restart * (1 + d / 2);
-
-    let fallback_theta = || {
-        robotune_obs::incr("gp.hyperfit_fallback", 1);
-        let mut t = vec![FALLBACK_LENGTH_SCALE.ln(); d];
-        t.push(FALLBACK_VARIANCE.ln());
-        t.push(FALLBACK_NOISE.ln());
-        t
-    };
-
-    if opts.strategy == FitStrategy::Reference {
-        let neg_lml = |theta: &[f64]| -> f64 {
-            let (scales, v, n) = clamp(theta);
-            match GpModel::fit(x.to_vec(), y, Matern52Ard::new(scales, v), n) {
-                Ok(m) => -m.log_marginal_likelihood(),
-                Err(_) => f64::INFINITY,
-            }
-        };
-        let results = run_restarts(&starts, false, evals, &neg_lml);
-        let theta = select_best(results).unwrap_or_else(fallback_theta);
-        let (scales, v, n) = clamp(&theta);
-        return GpModel::fit(x.to_vec(), y, Matern52Ard::new(scales, v), n).or_else(|_| {
-            robotune_obs::incr("gp.hyperfit_fallback", 1);
-            GpModel::fit(
-                x.to_vec(),
-                y,
-                Matern52Ard::new(vec![FALLBACK_LENGTH_SCALE; d], FALLBACK_VARIANCE),
-                FALLBACK_NOISE,
-            )
-            .map_err(|e| match e {
-                GpError::Singular(le) => GpError::HyperFitFailed(le),
-                other => other,
-            })
-        });
-    }
-
-    let data = PreparedData::prepare_ard(x.to_vec(), y)?;
-    let neg_lml = |theta: &[f64]| -> f64 {
-        let (scales, v, n) = clamp(theta);
-        match data.log_marginal(&Matern52Ard::new(scales, v), n) {
-            Ok(l) => -l,
-            Err(_) => f64::INFINITY,
-        }
-    };
     let parallel = opts.strategy == FitStrategy::Parallel;
-    let results = run_restarts(&starts, parallel, evals, &neg_lml);
-    let mut fallback = false;
-    let theta = match select_best(results) {
-        Some(t) => t,
-        None => {
-            fallback = true;
-            fallback_theta()
-        }
-    };
-    let (scales, v, n) = clamp(&theta);
-    let fitted = GpModel::fit_prepared(&data, Matern52Ard::new(scales, v), n).or_else(|_| {
-        robotune_obs::incr("gp.hyperfit_fallback", 1);
-        fallback = true;
-        GpModel::fit_prepared(
-            &data,
-            Matern52Ard::new(vec![FALLBACK_LENGTH_SCALE; d], FALLBACK_VARIANCE),
-            FALLBACK_NOISE,
-        )
-        .map_err(|e| match e {
-            GpError::Singular(le) => GpError::HyperFitFailed(le),
-            other => other,
-        })
-    });
+    let theta = best_restart(&data, &starts, &bounds, parallel, evals);
+    let (fitted, fallback) = fit_or_fallback(
+        &data,
+        theta,
+        |t| Matern52Ard::new(t[..d].iter().map(|v| v.exp()).collect(), t[d].exp()),
+        Matern52Ard::new(vec![FALLBACK_LENGTH_SCALE; d], FALLBACK_VARIANCE),
+    );
     if let Ok(m) = &fitted {
         emit_fit_diag(&m.kernel().length_scales, m.kernel().variance, fallback, m);
     }
@@ -508,7 +420,10 @@ mod tests {
         let x: Vec<Vec<f64>> = (0..30)
             .map(|_| (0..5).map(|_| rng.gen::<f64>()).collect())
             .collect();
-        let y: Vec<f64> = x.iter().map(|p| p[0] * 3.0 - p[1] + (p[2] * 4.0).cos()).collect();
+        let y: Vec<f64> = x
+            .iter()
+            .map(|p| p[0] * 3.0 - p[1] + (p[2] * 4.0).cos())
+            .collect();
         let m = fit_gp(&x, &y, &HyperFitOptions::default(), &mut rng).expect("fit");
         // Sanity: posterior at a training point tracks its target.
         let (mu, _) = m.predict(&x[0]);
@@ -551,6 +466,107 @@ mod tests {
         assert!(matches!(r, Err(GpError::InvalidInput(_))));
     }
 
+    /// Every fit on degenerate input is `Ok` with hyperparameters inside
+    /// the box, or a typed error — and replays bit for bit, serially, in
+    /// parallel, and on a second call.
+    #[test]
+    fn degenerate_inputs_give_in_box_fits_or_typed_errors_and_replay() {
+        let line = |n: usize| -> Vec<Vec<f64>> {
+            (0..n).map(|i| vec![i as f64 / n as f64, 0.3]).collect()
+        };
+        let cases = [
+            ("flat targets", line(15), vec![7.5; 15]),
+            (
+                "duplicate rows",
+                vec![vec![0.4, 0.6]; 10],
+                (0..10).map(|i| i as f64).collect(),
+            ),
+            (
+                "duplicates, equal targets",
+                vec![vec![0.4, 0.6]; 10],
+                vec![2.0; 10],
+            ),
+            ("n = 1", line(1), vec![3.0]),
+            ("n = 2", line(2), vec![3.0, -1.0]),
+            ("n = 2, one point", vec![vec![0.5, 0.5]; 2], vec![3.0, -1.0]),
+        ];
+        let opts = HyperFitOptions::default();
+        let inside = |v: f64, (lo, hi): (f64, f64)| v.is_finite() && (lo..=hi).contains(&v.ln());
+        for (name, x, y) in &cases {
+            // Both fits, plus every hyperparameter's bits (or the error)
+            // for the replay comparisons.
+            let fit = |strategy: FitStrategy| {
+                let opts = HyperFitOptions {
+                    strategy,
+                    ..opts.clone()
+                };
+                let iso = fit_gp(x, y, &opts, &mut rng_from_seed(3));
+                let ard = fit_gp_ard(x, y, &opts, &mut rng_from_seed(3));
+                let iso_bits = iso.as_ref().map(|m| {
+                    [m.kernel().length_scale, m.kernel().variance, m.noise()].map(f64::to_bits)
+                });
+                let ard_bits = ard.as_ref().map(|m| {
+                    let k = m.kernel();
+                    let mut v: Vec<u64> = k.length_scales.iter().map(|l| l.to_bits()).collect();
+                    v.extend([k.variance.to_bits(), m.noise().to_bits()]);
+                    v
+                });
+                let bits = format!("{iso_bits:?} {ard_bits:?}");
+                (iso, ard, bits)
+            };
+            let (iso, ard, bits) = fit(FitStrategy::Serial);
+            assert_eq!(bits, fit(FitStrategy::Serial).2, "{name}: serial replay");
+            assert_eq!(bits, fit(FitStrategy::Parallel).2, "{name}: parallel");
+            match iso {
+                Ok(m) => {
+                    let k = m.kernel();
+                    assert!(
+                        inside(k.length_scale, opts.log_length_bounds),
+                        "{name}: ℓ {k:?}"
+                    );
+                    assert!(
+                        inside(k.variance, opts.log_variance_bounds),
+                        "{name}: σ² {k:?}"
+                    );
+                    assert!(
+                        inside(m.noise(), opts.log_noise_bounds),
+                        "{name}: σ_n² {}",
+                        m.noise()
+                    );
+                    assert!(m.predict(&[0.5, 0.5]).0.is_finite(), "{name}");
+                }
+                Err(e) => assert!(
+                    matches!(e, GpError::Singular(_) | GpError::HyperFitFailed(_)),
+                    "{name}: {e:?}"
+                ),
+            }
+            match ard {
+                Ok(m) => {
+                    let k = m.kernel();
+                    assert!(
+                        k.length_scales
+                            .iter()
+                            .all(|&l| inside(l, opts.log_length_bounds)),
+                        "{name}: {k:?}"
+                    );
+                    assert!(
+                        inside(k.variance, opts.log_variance_bounds),
+                        "{name}: {k:?}"
+                    );
+                    assert!(
+                        inside(m.noise(), opts.log_noise_bounds),
+                        "{name}: σ_n² {}",
+                        m.noise()
+                    );
+                }
+                Err(e) => assert!(
+                    matches!(e, GpError::Singular(_) | GpError::HyperFitFailed(_)),
+                    "{name}: {e:?}"
+                ),
+            }
+        }
+    }
+
     fn equivalence_data() -> (Vec<Vec<f64>>, Vec<f64>) {
         use rand::Rng as _;
         let mut rng = rng_from_seed(42);
@@ -572,23 +588,27 @@ mod tests {
             };
             fit_gp(&x, &y, &opts, &mut rng).expect("fit")
         };
-        let reference = fit_with(FitStrategy::Reference);
+        let serial = fit_with(FitStrategy::Serial);
         for strategy in [FitStrategy::Serial, FitStrategy::Parallel] {
             let m = fit_with(strategy);
             assert_eq!(
                 m.kernel().length_scale,
-                reference.kernel().length_scale,
+                serial.kernel().length_scale,
                 "{strategy:?} length scale"
             );
-            assert_eq!(m.kernel().variance, reference.kernel().variance, "{strategy:?}");
-            assert_eq!(m.noise(), reference.noise(), "{strategy:?}");
+            assert_eq!(
+                m.kernel().variance,
+                serial.kernel().variance,
+                "{strategy:?}"
+            );
+            assert_eq!(m.noise(), serial.noise(), "{strategy:?}");
             assert_eq!(
                 m.log_marginal_likelihood(),
-                reference.log_marginal_likelihood(),
+                serial.log_marginal_likelihood(),
                 "{strategy:?}"
             );
             for q in [[0.2, 0.4], [0.7, 0.1], [0.55, 0.95]] {
-                assert_eq!(m.predict(&q), reference.predict(&q), "{strategy:?} at {q:?}");
+                assert_eq!(m.predict(&q), serial.predict(&q), "{strategy:?} at {q:?}");
             }
         }
     }
@@ -606,13 +626,16 @@ mod tests {
             };
             fit_gp_ard(&x, &y, &opts, &mut rng).expect("fit")
         };
-        let reference = fit_with(FitStrategy::Reference);
+        let serial = fit_with(FitStrategy::Serial);
         for strategy in [FitStrategy::Serial, FitStrategy::Parallel] {
             let m = fit_with(strategy);
-            assert_eq!(m.kernel().length_scales, reference.kernel().length_scales);
-            assert_eq!(m.kernel().variance, reference.kernel().variance);
-            assert_eq!(m.noise(), reference.noise());
-            assert_eq!(m.log_marginal_likelihood(), reference.log_marginal_likelihood());
+            assert_eq!(m.kernel().length_scales, serial.kernel().length_scales);
+            assert_eq!(m.kernel().variance, serial.kernel().variance);
+            assert_eq!(m.noise(), serial.noise());
+            assert_eq!(
+                m.log_marginal_likelihood(),
+                serial.log_marginal_likelihood()
+            );
         }
     }
 }

@@ -7,22 +7,23 @@
 //! * [`kernel`] — Matérn 5/2, squared-exponential and white-noise kernels;
 //! * [`model`] — [`model::GpModel`]: Cholesky-based posterior mean/variance
 //!   and the log marginal likelihood, with automatic jitter escalation;
-//! * [`hyper`] — maximum-likelihood hyperparameter fitting via multi-start
-//!   Nelder–Mead on log-parameters (our stand-in for scikit-optimize's
-//!   L-BFGS-B restarts), with restarts run on scoped threads;
+//! * [`hyper`] — maximum-likelihood hyperparameter fitting by multi-start
+//!   bounded quasi-Newton on log-parameters with the analytic likelihood
+//!   gradient (the paper stack's L-BFGS-B restarts), with restarts run on
+//!   scoped threads;
 //! * [`prepared`] — the training-set distance cache shared across all
-//!   hyperparameter candidates of one fit;
-//! * [`opt`] — the Nelder–Mead simplex optimiser itself.
+//!   hyperparameter candidates of one fit, and the likelihood with its
+//!   gradient.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
+mod bfgs;
 pub mod error;
 pub mod hyper;
 pub mod kernel;
 pub mod model;
-pub mod opt;
 pub mod prepared;
 
 pub use error::GpError;

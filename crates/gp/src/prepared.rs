@@ -1,21 +1,21 @@
 //! Training-set-fixed precomputation for the GP hot path.
 //!
-//! ML-II hyperparameter fitting evaluates hundreds of `(ℓ, σ², σ_n²)`
-//! candidates against the *same* training set: the pairwise distances and
-//! the standardised targets never change between candidates, only the
-//! kernel hyperparameters do. The pre-optimisation code nevertheless
-//! cloned the coordinates and rebuilt the distance matrix on every
-//! Nelder–Mead likelihood evaluation. [`PreparedData`] computes those
-//! invariants once; [`PreparedData::log_marginal`] then scores one
-//! candidate with a lower-triangle kernel-matrix fill straight from the
-//! cache plus one Cholesky factorisation — no coordinate clones, no
-//! re-standardisation, no model construction.
+//! ML-II hyperparameter fitting evaluates many `(ℓ, σ², σ_n²)` candidates
+//! against the *same* training set: the pairwise distances and the
+//! standardised targets never change between candidates, only the kernel
+//! hyperparameters do. [`PreparedData`] computes those invariants once;
+//! [`PreparedData::log_marginal`] then scores one candidate with a
+//! lower-triangle kernel-matrix fill straight from the cache plus one
+//! Cholesky factorisation, and [`PreparedData::log_marginal_grad`] adds
+//! the likelihood's gradient in log-hyperparameters from the same
+//! factorisation — no coordinate clones, no re-standardisation, no model
+//! construction.
 //!
 //! Every cached evaluation is **bit-identical** to the direct one: the
 //! kernels' [`Kernel::eval`] implementations compute the same
 //! hyperparameter-free pair statistic this module caches and pass it
-//! through the same entry point, so a fixed seed replays the exact same
-//! hyperparameter trajectory whether or not the cache is used.
+//! through the same entry point, so a model fitted from the cache equals
+//! one fitted from the coordinates.
 
 use robotune_linalg::{sq_dist, Cholesky, Matrix};
 
@@ -103,7 +103,9 @@ impl PreparedData {
             return Err(GpError::InvalidInput("x/y length mismatch"));
         }
         if x.is_empty() {
-            return Err(GpError::InvalidInput("cannot fit a GP on zero observations"));
+            return Err(GpError::InvalidInput(
+                "cannot fit a GP on zero observations",
+            ));
         }
         if x.iter().any(|p| p.len() != x[0].len()) {
             return Err(GpError::InvalidInput("observations differ in dimension"));
@@ -182,6 +184,198 @@ impl PreparedData {
         let fit: f64 = self.y_norm.iter().zip(&alpha).map(|(a, b)| a * b).sum();
         Ok(-0.5 * fit - 0.5 * chol.log_det() - 0.5 * n * (2.0 * std::f64::consts::PI).ln())
     }
+
+    /// Number of log-hyperparameters [`PreparedData::log_marginal_grad`]
+    /// takes: `(log ℓ, log σ², log σ_n²)` for data prepared by
+    /// [`PreparedData::prepare`], `(log ℓ_1 … log ℓ_d, log σ², log σ_n²)`
+    /// for [`PreparedData::prepare_ard`].
+    pub fn n_log_params(&self) -> usize {
+        match &self.pairs {
+            Pairs::Isotropic(_) => 3,
+            Pairs::Ard(diffs) => diffs.len() + 2,
+        }
+    }
+
+    /// Log marginal likelihood of the Matérn 5/2 + white-noise GP at the
+    /// log-hyperparameters `theta` (layout in
+    /// [`PreparedData::n_log_params`]), writing its gradient with respect
+    /// to `theta` into `grad`.
+    ///
+    /// One kernel fill evaluates each pair's `e^{−s}` once and derives
+    /// both `K` and `∂K/∂log ℓ` from it; then one Cholesky (same jitter
+    /// escalation as every fit), `α = K⁻¹ỹ` and `K⁻¹` once, and each
+    /// component is `½ tr((ααᵀ − K⁻¹) ∂K/∂θ)`. `K` is built exactly as
+    /// [`Matern52`] / [`Matern52Ard`] build it, so the value is
+    /// bit-identical to [`PreparedData::log_marginal`] at the same
+    /// hyperparameters. Added jitter is treated as a constant.
+    pub fn log_marginal_grad(&self, theta: &[f64], grad: &mut [f64]) -> Result<f64, GpError> {
+        if grad.len() != theta.len() {
+            return Err(GpError::InvalidInput(
+                "gradient and hyperparameter vectors differ in length",
+            ));
+        }
+        let at = self.log_marginal_at(theta)?;
+        let lml = at.lml;
+        self.gradient(at, grad);
+        Ok(lml)
+    }
+
+    /// The value half of [`PreparedData::log_marginal_grad`]: the log
+    /// marginal likelihood at `theta`, plus the factorisation that
+    /// [`PreparedData::gradient`] finishes from. A line search that
+    /// rejects the point never pays for the gradient.
+    pub(crate) fn log_marginal_at(&self, theta: &[f64]) -> Result<LikelihoodAt, GpError> {
+        let p = self.n_log_params();
+        if theta.len() != p {
+            return Err(GpError::InvalidInput(
+                "hyperparameter vector has the wrong length",
+            ));
+        }
+        let (variance, noise) = (theta[p - 2].exp(), theta[p - 1].exp());
+        let scales: Vec<f64> = theta[..p - 2].iter().map(|t| t.exp()).collect();
+        let positive = |v: f64| v > 0.0 && v.is_finite();
+        if !positive(variance) || !noise.is_finite() || !scales.iter().all(|&l| positive(l)) {
+            return Err(GpError::InvalidInput("hyperparameters out of range"));
+        }
+        robotune_obs::incr("gp.distcache_hit", 1);
+        let n = self.x.len();
+        // K in the lower triangle (all the Cholesky reads), each pair's
+        // derivative factor in the upper one.
+        let mut k = match &self.pairs {
+            Pairs::Isotropic(r5) => fill_with_derivative(
+                n,
+                variance,
+                noise,
+                |i, j| r5[(i, j)] / scales[0],
+                |s| s * s * (1.0 + s) / 3.0,
+            ),
+            Pairs::Ard(diffs) => {
+                let s_of = |i: usize, j: usize| {
+                    let r2: f64 = diffs
+                        .iter()
+                        .zip(&scales)
+                        .map(|(m, &l)| {
+                            let d = m[(i, j)] / l;
+                            d * d
+                        })
+                        .sum();
+                    sqrt5_dist(r2)
+                };
+                fill_with_derivative(n, variance, noise, s_of, |s| 5.0 / 3.0 * (1.0 + s))
+            }
+        };
+        let (chol, jitter) = factor_with_jitter_tracked(&mut k)?;
+        let alpha = chol.solve(&self.y_norm);
+        let nf = n as f64;
+        let fit: f64 = self.y_norm.iter().zip(&alpha).map(|(a, b)| a * b).sum();
+        let lml = -0.5 * fit - 0.5 * chol.log_det() - 0.5 * nf * (2.0 * std::f64::consts::PI).ln();
+        Ok(LikelihoodAt {
+            lml,
+            noise,
+            scales,
+            k,
+            chol,
+            alpha,
+            fit,
+            jitter,
+        })
+    }
+
+    /// The gradient half of [`PreparedData::log_marginal_grad`]: writes
+    /// `∂ log p(ỹ | θ) / ∂θ` at the point `at` was evaluated at.
+    pub(crate) fn gradient(&self, at: LikelihoodAt, grad: &mut [f64]) {
+        let LikelihoodAt {
+            noise,
+            scales,
+            mut k,
+            chol,
+            alpha,
+            fit,
+            jitter,
+            ..
+        } = at;
+        let n = alpha.len();
+        let p = grad.len();
+        // W = ααᵀ − K⁻¹ is symmetric, so each length-scale component is
+        // Σ_{i>j} W_ij ∂K_ij (the diagonal does not depend on ℓ). K's
+        // lower triangle is spent after the factorisation, so it takes
+        // W_ij · dk_ij for ARD's per-dimension passes. The signal part of
+        // K is K − (σ_n² + jitter)·I and tr(W K) = ỹᵀα − n, so the σ²
+        // component needs only tr(W). That form also stays accurate when
+        // the jitter makes K⁻¹'s entries huge and W · K cancels.
+        let kinv = chol.into_inverse_lower();
+        let mut trace_w = 0.0;
+        let mut g_ls = 0.0;
+        for i in 0..n {
+            let ai = alpha[i];
+            trace_w += ai * ai - kinv[(i, i)];
+            for (j, (&inv, &aj)) in kinv.row(i)[..i].iter().zip(&alpha[..i]).enumerate() {
+                let wd = (ai * aj - inv) * k[(j, i)];
+                k[(i, j)] = wd;
+                g_ls += wd;
+            }
+        }
+        grad[p - 2] = 0.5 * (fit - n as f64 - (noise + jitter) * trace_w);
+        grad[p - 1] = 0.5 * noise * trace_w;
+        match &self.pairs {
+            Pairs::Isotropic(_) => grad[0] = g_ls,
+            Pairs::Ard(diffs) => {
+                for ((g, m), &l) in grad.iter_mut().zip(diffs).zip(&scales) {
+                    let inv_l2 = 1.0 / (l * l);
+                    let mut acc = 0.0;
+                    for i in 0..n {
+                        for (&wd, &delta) in k.row(i)[..i].iter().zip(&m.row(i)[..i]) {
+                            acc += wd * delta * delta;
+                        }
+                    }
+                    *g = acc * inv_l2;
+                }
+            }
+        }
+    }
+}
+
+/// One likelihood evaluation of [`PreparedData::log_marginal_at`]:
+/// its value and what [`PreparedData::gradient`] reuses.
+#[derive(Debug)]
+pub(crate) struct LikelihoodAt {
+    /// The log marginal likelihood.
+    pub(crate) lml: f64,
+    noise: f64,
+    scales: Vec<f64>,
+    /// `K` below the diagonal, derivative factors above it.
+    k: Matrix,
+    chol: Cholesky,
+    alpha: Vec<f64>,
+    /// `ỹᵀα`.
+    fit: f64,
+    jitter: f64,
+}
+
+/// The Matérn 5/2 kernel matrix `K + σ_n² I` in the lower triangle, from
+/// each pair's scaled distance `s(i, j)`, computed as [`Matern52`] and
+/// [`Matern52Ard`] compute it; and in the upper triangle, at `(j, i)`,
+/// `σ² · dk(s) · e^{−s}` from the same `e^{−s}`: `∂K/∂log ℓ` for the
+/// isotropic kernel (`dk(s) = s²(1 + s)/3`), the per-pair factor of every
+/// `∂K/∂log ℓ_d` for ARD (`dk(s) = (5/3)(1 + s)`).
+fn fill_with_derivative(
+    n: usize,
+    variance: f64,
+    noise: f64,
+    s: impl Fn(usize, usize) -> f64,
+    dk: impl Fn(f64) -> f64,
+) -> Matrix {
+    let mut k = Matrix::zeros(n, n);
+    for i in 0..n {
+        for j in 0..i {
+            let s = s(i, j);
+            let e = (-s).exp();
+            k[(i, j)] = variance * (1.0 + s + s * s / 3.0) * e;
+            k[(j, i)] = variance * dk(s) * e;
+        }
+        k[(i, i)] = variance + noise;
+    }
+    k
 }
 
 /// An `n × n` matrix holding `f(i, j)` strictly below the diagonal and
@@ -277,6 +471,126 @@ mod tests {
             plain.log_marginal(&kernel, 1e-3).unwrap(),
             ard.log_marginal(&kernel, 1e-3).unwrap()
         );
+    }
+
+    /// Checks `log_marginal_grad` at `theta` against a fourth-order
+    /// central difference (step 1e-2): each component within 1e-5 of the
+    /// difference, relative to its magnitude or to 1, whichever is larger.
+    /// Also checks the value is bit-identical to `log_marginal`.
+    fn check_gradient(data: &PreparedData, theta: &[f64]) {
+        let p = theta.len();
+        let mut grad = vec![0.0; p];
+        let lml = data.log_marginal_grad(theta, &mut grad).unwrap();
+        let (v, noise) = (theta[p - 2].exp(), theta[p - 1].exp());
+        let direct = if p == 3 {
+            data.log_marginal(&Matern52::new(theta[0].exp(), v), noise)
+        } else {
+            let scales = theta[..p - 2].iter().map(|t| t.exp()).collect();
+            data.log_marginal(&Matern52Ard::new(scales, v), noise)
+        };
+        assert_eq!(lml, direct.unwrap(), "θ = {theta:?}");
+        let mut scratch = vec![0.0; p];
+        let mut at = |i: usize, step: f64| {
+            let mut t = theta.to_vec();
+            t[i] += step;
+            data.log_marginal_grad(&t, &mut scratch).unwrap()
+        };
+        let h = 1e-2;
+        for (i, &gi) in grad.iter().enumerate() {
+            let fd =
+                (8.0 * (at(i, h) - at(i, -h)) - (at(i, 2.0 * h) - at(i, -2.0 * h))) / (12.0 * h);
+            let err = (gi - fd).abs() / fd.abs().max(1.0);
+            assert!(
+                err <= 1e-5,
+                "θ = {theta:?}, component {i}: {gi} vs {fd} (err {err:e})"
+            );
+        }
+    }
+
+    /// The default hyperfit box: log ℓ, log σ², log σ_n².
+    const BOX: [(f64, f64); 3] = [(-4.0, 2.0), (-3.0, 3.0), (-10.0, 0.0)];
+
+    #[test]
+    fn isotropic_gradient_matches_finite_differences() {
+        let (x, y) = toy();
+        let data = PreparedData::prepare(x, &y).unwrap();
+        let interior = [(0.5f64).ln(), 0.0, (1e-3f64).ln()];
+        for theta in [interior, [-1.9, 0.7, -4.0], [0.8, -1.2, -0.5]] {
+            check_gradient(&data, &theta);
+        }
+        // Each parameter on each of its bounds, the others interior.
+        for (i, &(lo, hi)) in BOX.iter().enumerate() {
+            for b in [lo, hi] {
+                let mut theta = [-1.0, 0.3, -5.0];
+                theta[i] = b;
+                check_gradient(&data, &theta);
+            }
+        }
+    }
+
+    #[test]
+    fn ard_gradient_matches_finite_differences() {
+        let (x, y) = toy();
+        let data = PreparedData::prepare_ard(x, &y).unwrap();
+        for theta in [
+            [-0.7, 0.2, 0.0, -6.9],
+            [-2.5, 1.1, 0.9, -3.0],
+            [0.4, -1.6, -0.8, -0.7],
+        ] {
+            check_gradient(&data, &theta);
+        }
+        let bounds = [BOX[0], BOX[0], BOX[1], BOX[2]];
+        for (i, &(lo, hi)) in bounds.iter().enumerate() {
+            for b in [lo, hi] {
+                let mut theta = [-1.0, -0.4, 0.3, -5.0];
+                theta[i] = b;
+                check_gradient(&data, &theta);
+            }
+        }
+    }
+
+    #[test]
+    fn gradient_holds_on_the_jitter_path() {
+        // Every point twice with equal targets and a noise floor far below
+        // the first jitter step: the factorisation needs jitter, which the
+        // gradient treats as a constant.
+        let (x, y) = toy();
+        let x2: Vec<Vec<f64>> = x.iter().chain(&x).cloned().collect();
+        let y2: Vec<f64> = y.iter().chain(&y).copied().collect();
+        let theta = [-1.2f64, -1.5, -40.0];
+        let data = PreparedData::prepare(x2.clone(), &y2).unwrap();
+        let m = GpModel::fit_prepared(
+            &data,
+            Matern52::new(theta[0].exp(), theta[1].exp()),
+            theta[2].exp(),
+        )
+        .unwrap();
+        assert!(
+            m.jitter() > 0.0,
+            "the duplicate set must take the jitter path"
+        );
+        check_gradient(&data, &theta);
+        let ard = PreparedData::prepare_ard(x2, &y2).unwrap();
+        check_gradient(&ard, &[-1.2, -0.8, -1.5, -40.0]);
+    }
+
+    #[test]
+    fn gradient_rejects_a_wrong_length_or_unusable_theta() {
+        let (x, y) = toy();
+        let data = PreparedData::prepare(x, &y).unwrap();
+        let mut g = [0.0; 3];
+        assert!(matches!(
+            data.log_marginal_grad(&[0.0; 4], &mut [0.0; 4]),
+            Err(GpError::InvalidInput(_))
+        ));
+        assert!(matches!(
+            data.log_marginal_grad(&[f64::NAN, 0.0, 0.0], &mut g),
+            Err(GpError::InvalidInput(_))
+        ));
+        assert!(matches!(
+            data.log_marginal_grad(&[0.0, 800.0, 0.0], &mut g),
+            Err(GpError::InvalidInput(_))
+        ));
     }
 
     #[test]

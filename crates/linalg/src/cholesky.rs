@@ -23,6 +23,14 @@ fn sub_dots(sums: &mut [f64], m: &Matrix, first: usize, x: &[f64]) {
     }
 }
 
+/// `y += a · x` elementwise.
+#[inline(always)]
+fn axpy(y: &mut [f64], a: f64, x: &[f64]) {
+    for (v, &xj) in y.iter_mut().zip(x) {
+        *v += a * xj;
+    }
+}
+
 #[inline(always)]
 fn chains<const R: usize>(sums: &mut [f64], m: &Matrix, first: usize, x: &[f64]) {
     let rows: [&[f64]; R] = std::array::from_fn(|t| &m.row(first + t)[..x.len()]);
@@ -196,6 +204,62 @@ impl Cholesky {
         (0..self.dim()).map(|i| self.l[(i, i)].ln()).sum::<f64>() * 2.0
     }
 
+    /// The lower triangle of `A⁻¹` (entries above the diagonal are zero),
+    /// as `L⁻ᵀ L⁻¹`, computed in the factor's own storage with O(n)
+    /// scratch. The GP likelihood gradient needs every entry of `K⁻¹`,
+    /// so it pays for this once per evaluation.
+    pub fn into_inverse_lower(self) -> Matrix {
+        let mut x = self.l;
+        let n = x.rows();
+        let mut acc = vec![0.0; n];
+        // X = L⁻¹ by forward substitution over L's rows: row i becomes
+        // −(Σ_{k<i} L[i][k] · X[k]) / L[i][i] plus 1 / L[i][i] on the
+        // diagonal. Rows above i already hold X, which is zero beyond
+        // column k in row k; row i still holds L until it is written.
+        for i in 0..n {
+            let acc = &mut acc[..i];
+            acc.fill(0.0);
+            for k in 0..i {
+                axpy(&mut acc[..=k], x[(i, k)], &x.row(k)[..=k]);
+            }
+            let inv = 1.0 / x[(i, i)];
+            let row = x.row_mut(i);
+            for (v, &a) in row[..i].iter_mut().zip(acc.iter()) {
+                *v = a * -inv;
+            }
+            row[i] = inv;
+        }
+        // A⁻¹[i][j] = Σ_{k≥i} X[k][i] · X[k][j] for j ≤ i. Row i of the
+        // result reads rows k ≥ i of X only, so ascending i never reads a
+        // row it has already overwritten. Four rows of X per pass, so each
+        // entry is loaded and stored once per four terms.
+        for i in 0..n {
+            let acc = &mut acc[..=i];
+            let own = &x.row(i)[..=i];
+            let c = own[i];
+            for (a, &v) in acc.iter_mut().zip(own) {
+                *a = v * c;
+            }
+            let mut k = i + 1;
+            while k + 4 <= n {
+                let (r0, r1) = (&x.row(k)[..=i], &x.row(k + 1)[..=i]);
+                let (r2, r3) = (&x.row(k + 2)[..=i], &x.row(k + 3)[..=i]);
+                let (c0, c1, c2, c3) = (r0[i], r1[i], r2[i], r3[i]);
+                let rows = acc.iter_mut().zip(r0).zip(r1).zip(r2).zip(r3);
+                for ((((a, &p), &q), &r), &s) in rows {
+                    *a += c0 * p + c1 * q + c2 * r + c3 * s;
+                }
+                k += 4;
+            }
+            for k in k..n {
+                let r = &x.row(k)[..=i];
+                axpy(acc, r[i], r);
+            }
+            x.row_mut(i)[..=i].copy_from_slice(acc);
+        }
+        x
+    }
+
     /// Reconstructs `A = L Lᵀ` (mainly for testing).
     pub fn reconstruct(&self) -> Matrix {
         let lt = self.l.transpose();
@@ -282,6 +346,26 @@ mod tests {
             for (r, y) in rhs.iter().zip(&back) {
                 assert!((r - y).abs() < 1e-7);
             }
+        }
+    }
+
+    #[test]
+    fn into_inverse_lower_inverts_random_spd_matrices() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(4);
+        for n in [1usize, 2, 3, 7, 30] {
+            let b = Matrix::from_fn(n, n, |_, _| rng.gen::<f64>() - 0.5);
+            let mut a = b.mat_mul(&b.transpose());
+            a.add_diagonal(n as f64);
+            let lower = Cholesky::factor(&a)
+                .expect("SPD by construction")
+                .into_inverse_lower();
+            let inv = Matrix::from_fn(n, n, |i, j| lower[(i.max(j), i.min(j))]);
+            assert!(
+                a.mat_mul(&inv).max_abs_diff(&Matrix::identity(n)) < 1e-10,
+                "n = {n}"
+            );
+            assert!((0..n).all(|i| (i + 1..n).all(|j| lower[(i, j)] == 0.0)));
         }
     }
 }

@@ -2,8 +2,8 @@
 //! recorded once and committed.
 //!
 //! The other bit-identity tests compare two paths of the *same build*
-//! against each other (`tests/gp_hotpath.rs`: optimised vs
-//! `FitStrategy::Reference`; the service tests: served vs in-process).
+//! against each other (`tests/gp_hotpath.rs`: parallel vs serial
+//! hyperfit; the service tests: served vs in-process).
 //! Both sides of those comparisons call the same `Cholesky::factor`, the
 //! same Matérn evaluation and the same forest walk, so a rewrite of one of
 //! those kernels that moved every bit would still pass them. These pins
@@ -54,28 +54,28 @@ const TS_TIME_BITS: [&[u64]; 2] = [
         0x4056b9f91cb7d5e5, 0x4059b449311965e3, 0x405c979a5877457c,
         0x4057307619cf6379, 0x40708228f8c2664b, 0x40662a054f419459,
         0x4051e343db4ac111, 0x40583680db1016fa, 0x405392b1af0382ec,
-        0x40265bdd68774c08, 0x4056b05142265851, 0x405425ecaf0e4bff,
-        0x4057cd5549c914da, 0x405cd766933976dd, 0x405b10f6dcb68097,
-        0x405dd1ced207a4af, 0x40569e27122fec57, 0x4061596c81c2fc61,
+        0x40265bdd68774c08, 0x4056b05142265851, 0x4054260ae5c3b450,
+        0x40572791583c12e7, 0x405e9d0da5e9192f, 0x405649401242a461,
+        0x405f9931294775c6, 0x405cb918f15adb49, 0x405d0242ea5a73a7,
     ],
     &[
-        0x405d4a0e2cb3b7a9, 0x405b0f99dbe1fe7f, 0x405a5630439a082b,
-        0x405f495a4e53dc5b, 0x4062dec8cacff909, 0x4062d69123d460bf,
-        0x4076b7472e22d782, 0x4076b7472e22d782, 0x4063c54259279712,
+        0x405d4a0e2cb3b7a9, 0x405b0f99dbe1fe7f, 0x405a56596ff6cb37,
+        0x405f9cb884e3165f, 0x4062dec8cacff909, 0x4062d69123d460bf,
+        0x4076d68a82988d43, 0x4076d68a82988d43, 0x4063c54259279712,
         0x405cabd982907964, 0x4061ab7fdb08c829, 0x406391cede9f8ea4,
         0x40647fb9889faaf9, 0x406369d2461eb737, 0x4065278613d791e4,
         0x40639a8e108d6bb6, 0x4028b8fdb2d67dde, 0x40626d72e91fed7e,
-        0x4064180df74ec1de, 0x405f83e7d907836c, 0x4059cab4f16ab77d,
-        0x406515f96d246e64, 0x40276ccfaf901340, 0x4064b7692c9afa96,
-        0x40646b3db16dd346, 0x40650aceca0e8462, 0x4065274dd80b8df8,
-        0x4064118ae0b1fdb3, 0x40637652bfadaa15, 0x406384fc2cfcb300,
+        0x4064180df74ec1de, 0x405f83e7d907836c, 0x405a4bee4b2e73f7,
+        0x405d71812c725b0f, 0x40276ccfaf901340, 0x405efa1738ef429b,
+        0x4061f7b838371c76, 0x40650ab71f05fac7, 0x405e092eb80df901,
+        0x406422b1f794f5f7, 0x405cd7608c92cb76, 0x405a84cfbc4d2995,
     ],
 ];
 /// FNV-1a over the cold session's ranked group importances (member
 /// indices and importance bits, in rank order).
 const TS_IMPORTANCE_FNV: u64 = 0x30df197c42db86a0;
 /// FNV-1a over every evaluated unit-cube point of both sessions.
-const TS_POINTS_FNV: u64 = 0x9276718e4c27f72a;
+const TS_POINTS_FNV: u64 = 0xf9497e659c08bf9e;
 
 #[test]
 fn robotune_cold_then_warm_session_is_pinned() {
@@ -138,7 +138,7 @@ const BO_POINTS_FNV: u64 = 0xeb1660f855e1c2a3;
 /// FNV-1a over the final model's posterior (mean, variance) bits on a
 /// fixed grid. Trajectories only move when a changed bit flips a
 /// comparison; this catches the changed bit itself.
-const BO_POSTERIOR_FNV: u64 = 0xade222bc5650c073;
+const BO_POSTERIOR_FNV: u64 = 0x2cbb32daaedc70c7;
 
 #[test]
 fn bo_engine_trajectory_is_pinned() {
