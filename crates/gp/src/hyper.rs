@@ -2,8 +2,9 @@
 //!
 //! Optimises `(log ℓ, log σ², log σ_n²)` of a Matérn 5/2 + white-noise GP
 //! (for ARD, one `log ℓ` per dimension) by multi-start bounded
-//! quasi-Newton ([`crate::bfgs`]) on the log marginal likelihood and its
-//! analytic gradient ([`PreparedData::log_marginal_grad`]) — the ML-II
+//! quasi-Newton ([`robotune_linalg::bfgs`]) on the log marginal
+//! likelihood and its analytic gradient
+//! ([`PreparedData::log_marginal_grad`]) — the ML-II
 //! fit scikit-learn's GP regressor performs with L-BFGS-B. Targets are
 //! standardised inside [`crate::model::GpModel`], so the same search box
 //! works across workloads.
@@ -20,8 +21,8 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use rand::Rng;
+use robotune_linalg::bfgs::{minimize, Minimum, Objective};
 
-use crate::bfgs::{minimize, Minimum, Objective};
 use crate::error::GpError;
 use crate::kernel::{Kernel, Matern52, Matern52Ard};
 use crate::model::GpModel;

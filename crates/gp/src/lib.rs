@@ -19,7 +19,6 @@
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-mod bfgs;
 pub mod error;
 pub mod hyper;
 pub mod kernel;

@@ -1,17 +1,18 @@
 //! Bounded quasi-Newton minimisation: projected BFGS on a box.
 //!
-//! The GP hyperfit minimises the negative log marginal likelihood over a
-//! handful of log-hyperparameters inside a box, with an analytic
-//! gradient ([`crate::PreparedData::log_marginal_grad`]). This is the
-//! setting scikit-learn's GP regressor hands to L-BFGS-B; at three to a
-//! few dozen parameters a dense BFGS Hessian estimate with an active set
+//! Minimises a smooth function of a handful of variables inside a box,
+//! given its analytic gradient: the setting scikit-learn and
+//! scikit-optimize hand to L-BFGS-B. The GP hyperfit minimises the
+//! negative log marginal likelihood over log-hyperparameters with it, and
+//! the BO engine refines acquisition optima over the unit cube. At two to
+//! a few dozen variables a dense BFGS Hessian estimate with an active set
 //! at the bounds does the same job in a page of code. The stopping rules
 //! are `fmin_l_bfgs_b`'s defaults.
 //!
 //! Every step is plain arithmetic on its inputs (no clock, no shared
 //! state), so one start always gives the same bits.
 
-use robotune_linalg::{Cholesky, Matrix};
+use crate::{Cholesky, Matrix};
 
 /// Stop when the projected gradient's ∞-norm falls below this (`pgtol`).
 const PG_TOL: f64 = 1e-5;
@@ -25,7 +26,7 @@ const MAX_HALVINGS: usize = 30;
 
 /// A function to minimise, evaluated in two steps so that the line
 /// search pays for a gradient only at the points it accepts.
-pub(crate) trait Objective {
+pub trait Objective {
     /// What [`Objective::gradient`] needs from a value evaluation.
     type At;
     /// The value at `x`, or `None` where the function is undefined.
@@ -36,7 +37,7 @@ pub(crate) trait Objective {
 
 /// Result of one [`minimize`] run.
 #[derive(Debug)]
-pub(crate) struct Minimum {
+pub struct Minimum {
     /// Best point found (inside the box).
     pub x: Vec<f64>,
     /// Objective value at `x` (`+∞` if not even the start was finite).
@@ -62,7 +63,7 @@ pub(crate) struct Minimum {
 /// # Panics
 ///
 /// Panics if `bounds` and `x0` differ in length or a bound has `lo > hi`.
-pub(crate) fn minimize<O: Objective>(
+pub fn minimize<O: Objective>(
     f: &O,
     x0: &[f64],
     bounds: &[(f64, f64)],
@@ -128,7 +129,7 @@ pub(crate) fn minimize<O: Objective>(
         }
         if fresh {
             // No curvature information yet: cap the first step at one
-            // unit of log-hyperparameter, as L-BFGS-B caps its first.
+            // unit of the variables, as L-BFGS-B caps its first.
             let longest = d.iter().fold(0.0f64, |m, v| m.max(v.abs()));
             if longest > 1.0 {
                 d.iter_mut().for_each(|v| *v /= longest);

@@ -7,11 +7,16 @@
 //! a simple row-major [`Matrix`]. Sizes in this workspace top out around a
 //! few hundred rows (BO budgets are ~100 evaluations), where a straight
 //! O(n³/3) Cholesky is more than fast enough.
+//!
+//! [`bfgs`] is the one bounded optimiser both the GP hyperfit and the BO
+//! acquisition search use: projected BFGS on a box, over a dense Hessian
+//! estimate that it factors with the same [`Cholesky`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
+pub mod bfgs;
 pub mod cholesky;
 pub mod matrix;
 
