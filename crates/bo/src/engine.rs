@@ -17,7 +17,7 @@ use robotune_gp::model::GpModel;
 use crate::acquisition::{AcquisitionKind, ALL_ACQUISITIONS};
 use crate::error::EngineError;
 use crate::hedge::Hedge;
-use crate::optimize::{draw_candidates, refine, OptimizeOptions};
+use crate::optimize::{draw_candidates, refine, NegatedAcquisition, OptimizeOptions};
 
 /// BO engine configuration.
 #[derive(Debug, Clone)]
@@ -296,20 +296,23 @@ impl BoEngine {
             let _acq_span = robotune_obs::span("bo.acq_opt");
             // As in scikit-optimize's `gp_hedge`, every acquisition scores
             // the same candidates, from one posterior pass; each then
-            // refines its own best few.
+            // refines its own best few by gradient.
             let opts = &self.opts.optimize;
             let candidates = draw_candidates(self.dim, opts, rng);
             let posterior = model.predict_batch(&candidates);
             ALL_ACQUISITIONS.map(|kind| {
+                let acq = NegatedAcquisition {
+                    model,
+                    kind,
+                    best,
+                    xi,
+                    kappa,
+                };
                 let scores: Vec<f64> = posterior
                     .iter()
-                    .map(|&(mu, var)| kind.score(mu, var.sqrt(), best, xi, kappa))
+                    .map(|&(mu, var)| acq.score(mu, var))
                     .collect();
-                let pointwise = |p: &[f64]| {
-                    let (mu, var) = model.predict(p);
-                    kind.score(mu, var.sqrt(), best, xi, kappa)
-                };
-                refine(&candidates, &scores, pointwise, opts)
+                refine(&candidates, &scores, &acq, opts)
             })
         };
 
@@ -443,8 +446,6 @@ mod tests {
             optimize: OptimizeOptions {
                 candidates: 64,
                 refine_top: 2,
-                halvings: 4,
-                ..OptimizeOptions::default()
             },
             ..BoOptions::default()
         }

@@ -8,11 +8,12 @@
 //! * [`hedge`] — the adaptive portfolio of Hoffman et al. 2011 that picks
 //!   one acquisition per iteration with probability proportional to its
 //!   accumulated gains;
-//! * [`optimize`] — acquisition maximisation via random multi-start plus
-//!   pattern-search refinement (the role L-BFGS-B plays in the original);
+//! * [`optimize`] — acquisition maximisation: a random candidate draw,
+//!   then projected BFGS on the analytic acquisition gradient from the
+//!   best few, as scikit-optimize's `lbfgs` acquisition optimiser does;
 //! * [`engine`] — [`engine::BoEngine`], the ask/tell loop: fit GP → score
-//!   one shared candidate draw → refine one nominee per acquisition →
-//!   Hedge-select → evaluate → update gains.
+//!   one shared candidate draw → refine one nominee per acquisition by
+//!   gradient → Hedge-select → evaluate → update gains.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

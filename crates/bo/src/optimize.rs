@@ -1,28 +1,39 @@
 //! Acquisition maximisation over the unit hypercube.
 //!
-//! The original implementation hands this to L-BFGS-B; we use the equally
-//! standard derivative-free recipe: score a batch of random candidates,
-//! then refine the best few with a coordinate pattern search (step halving
-//! with box clamping). At BO's dimensionalities (≤ ~10 after parameter
-//! selection) this finds acquisition optima reliably and cheaply.
+//! As scikit-optimize does with `acq_optimizer="lbfgs"`: score a batch of
+//! random candidates under the posterior, then run a bounded quasi-Newton
+//! search on the analytic acquisition gradient from the best few. The
+//! search is [`robotune_linalg::bfgs`]'s projected BFGS on the unit cube,
+//! each start capped at [`EVALS_PER_START`] value evaluations; the
+//! gradient comes from [`GpModel::predict_grad`] through
+//! [`AcquisitionKind::score_slopes`].
 //!
 //! The two phases are separate calls, [`draw_candidates`] and [`refine`],
 //! so that several acquisitions can share one candidate draw and one
 //! posterior pass over it, as scikit-optimize's `gp_hedge` does.
 
 use rand::Rng;
+use robotune_gp::{GpModel, Matern52, PosteriorAt};
+use robotune_linalg::bfgs::{minimize, Objective};
+
+use crate::acquisition::AcquisitionKind;
+
+/// Value evaluations one BFGS start may spend. scikit-optimize caps its
+/// L-BFGS-B runs at 20 iterations. Most starts here stop on their own
+/// after 10–20 evaluations; PI, whose surface saturates into plateaus
+/// and ridges, converges slowest. On `tests/acq_quality.rs`'s corpus a
+/// cap of 30 ended 23% of PI's starts early and left PI behind the
+/// pattern search it replaced in 20% of nominations; at 60 that falls
+/// to 8% for 18% more PI evaluations.
+pub const EVALS_PER_START: usize = 60;
 
 /// Options for [`draw_candidates`] and [`refine`].
 #[derive(Debug, Clone)]
 pub struct OptimizeOptions {
     /// Random candidates scored in the global phase.
     pub candidates: usize,
-    /// How many of the top candidates get local refinement.
+    /// How many of the top candidates start a local search.
     pub refine_top: usize,
-    /// Initial pattern-search step (unit-cube units).
-    pub initial_step: f64,
-    /// Step halvings before the local search stops.
-    pub halvings: usize,
 }
 
 impl Default for OptimizeOptions {
@@ -30,8 +41,6 @@ impl Default for OptimizeOptions {
         OptimizeOptions {
             candidates: 256,
             refine_top: 3,
-            initial_step: 0.1,
-            halvings: 6,
         }
     }
 }
@@ -54,103 +63,79 @@ pub fn draw_candidates<R: Rng + ?Sized>(
         .collect()
 }
 
-/// Pattern-search scores memoised by the exact coordinate bits, stored
-/// flat (`dim` words per point). The scorer is a pure function of the
-/// point, so a hit returns the very value a re-score would compute;
-/// distinct bit patterns (even `0.0` and `-0.0`) are scored separately.
-struct Seen {
-    dim: usize,
-    bits: Vec<u64>,
-    scores: Vec<f64>,
+/// One acquisition under a fitted posterior, negated so that
+/// [`minimize`] maximises it; its gradient is the chain rule through the
+/// posterior mean and variance.
+#[derive(Debug, Clone, Copy)]
+pub struct NegatedAcquisition<'a> {
+    /// The fitted surrogate.
+    pub model: &'a GpModel<Matern52>,
+    /// Which acquisition.
+    pub kind: AcquisitionKind,
+    /// The incumbent (lowest observed value).
+    pub best: f64,
+    /// PI/EI exploration margin ξ.
+    pub xi: f64,
+    /// LCB confidence multiplier κ.
+    pub kappa: f64,
 }
 
-impl Seen {
-    fn new(dim: usize) -> Self {
-        Seen {
-            dim,
-            bits: Vec::new(),
-            scores: Vec::new(),
-        }
+impl NegatedAcquisition<'_> {
+    /// The (higher-is-better) acquisition score at a posterior mean and
+    /// variance.
+    pub fn score(&self, mean: f64, var: f64) -> f64 {
+        self.kind.score(mean, var.sqrt(), self.best, self.xi, self.kappa)
+    }
+}
+
+impl Objective for NegatedAcquisition<'_> {
+    type At = PosteriorAt;
+
+    fn value(&self, x: &[f64]) -> Option<(f64, PosteriorAt)> {
+        let at = self.model.predict_at(x);
+        Some((-self.score(at.mean, at.var), at))
     }
 
-    fn clear(&mut self) {
-        self.bits.clear();
-        self.scores.clear();
-    }
-
-    fn score(&mut self, x: &[f64], score: impl FnOnce(&[f64]) -> f64) -> f64 {
-        let hit = self
-            .bits
-            .chunks_exact(self.dim)
-            .rposition(|p| p.iter().zip(x).all(|(&b, v)| b == v.to_bits()));
-        if let Some(i) = hit {
-            return self.scores[i];
+    fn gradient(&self, at: PosteriorAt, g: &mut [f64]) {
+        let (by_mean, by_var) =
+            self.kind
+                .score_slopes(at.mean, at.var.sqrt(), self.best, self.xi, self.kappa);
+        let mut dvar = vec![0.0; g.len()];
+        self.model.predict_grad(at, g, &mut dvar);
+        for (gi, dv) in g.iter_mut().zip(&dvar) {
+            *gi = -(by_mean * *gi + by_var * dv);
         }
-        let f = score(x);
-        self.bits.extend(x.iter().map(|v| v.to_bits()));
-        self.scores.push(f);
-        f
     }
 }
 
 /// The local phase: ranks `candidates` by `scores` (descending, ties in
-/// candidate order), refines the best `opts.refine_top` by coordinate
-/// pattern search under `score`, and returns the best point found.
-/// `scores[i]` must be what `score` returns on `candidates[i]`. Consumes no
-/// randomness.
+/// candidate order), starts a projected BFGS on `[0, 1]^dim` minimising
+/// `negated` from each of the best `opts.refine_top`, and returns the
+/// best candidate or end point. `scores[i]` must be the negation of
+/// `negated`'s value at `candidates[i]`, so an end point wins only by
+/// improving on it. Consumes no randomness.
 ///
 /// # Panics
 ///
 /// Panics if `candidates` is empty or `scores` differs from it in length.
-pub fn refine<F>(candidates: &[Vec<f64>], scores: &[f64], mut score: F, opts: &OptimizeOptions) -> Vec<f64>
-where
-    F: FnMut(&[f64]) -> f64,
-{
+pub fn refine<O: Objective>(
+    candidates: &[Vec<f64>],
+    scores: &[f64],
+    negated: &O,
+    opts: &OptimizeOptions,
+) -> Vec<f64> {
     assert!(!candidates.is_empty(), "need at least one candidate");
     assert_eq!(scores.len(), candidates.len(), "one score per candidate");
-    let dim = candidates[0].len();
     let mut order: Vec<usize> = (0..candidates.len()).collect();
     order.sort_by(|&a, &b| scores[b].total_cmp(&scores[a]));
     order.truncate(opts.refine_top.max(1));
 
-    // Coordinate pattern search from each survivor. The memo is reset at
-    // every step size, which keeps it small enough for a linear scan and
-    // still answers 19% of the pointwise scores on the paper protocol. A
-    // memo spanning the whole phase answered 26%, but holding every point
-    // of the search raised the served benchmark's median peak RSS from
-    // 12.4 to 13.5 MiB, with no measurable saving.
-    let mut seen = Seen::new(dim);
+    let unit = vec![(0.0, 1.0); candidates[0].len()];
     let mut best = (scores[order[0]], candidates[order[0]].clone());
     for i in order {
-        let (mut fx, mut x) = (scores[i], candidates[i].clone());
-        let mut step = opts.initial_step;
-        for _ in 0..=opts.halvings {
-            seen.clear();
-            let mut improved = true;
-            while improved {
-                improved = false;
-                for d in 0..dim {
-                    for dir in [-1.0, 1.0] {
-                        let orig = x[d];
-                        let cand = (orig + dir * step).clamp(0.0, 1.0);
-                        if cand == orig {
-                            continue;
-                        }
-                        x[d] = cand;
-                        let f = seen.score(&x, &mut score);
-                        if f > fx {
-                            fx = f;
-                            improved = true;
-                        } else {
-                            x[d] = orig;
-                        }
-                    }
-                }
-            }
-            step *= 0.5;
-        }
-        if fx > best.0 {
-            best = (fx, x);
+        let end = minimize(negated, &candidates[i], &unit, EVALS_PER_START);
+        if -end.fx > best.0 {
+            best = (-end.fx, end.x);
         }
     }
     best.1
@@ -161,16 +146,34 @@ mod tests {
     use super::*;
     use robotune_stats::rng_from_seed;
 
+    /// A score to maximise and its gradient, negated for [`minimize`].
+    struct Smooth<F>(F);
+
+    impl<F: Fn(&[f64], &mut [f64]) -> f64> Objective for Smooth<F> {
+        type At = Vec<f64>;
+        fn value(&self, x: &[f64]) -> Option<(f64, Vec<f64>)> {
+            let mut g = vec![0.0; x.len()];
+            let v = (self.0)(x, &mut g);
+            Some((-v, g))
+        }
+        fn gradient(&self, at: Vec<f64>, g: &mut [f64]) {
+            for (gi, a) in g.iter_mut().zip(at) {
+                *gi = -a;
+            }
+        }
+    }
+
     /// Maximises `score` over `[0, 1]^dim`: draw, score each, refine.
     fn maximize_acquisition(
-        mut score: impl FnMut(&[f64]) -> f64,
+        score: impl Fn(&[f64], &mut [f64]) -> f64,
         dim: usize,
         opts: &OptimizeOptions,
         rng: &mut impl Rng,
     ) -> Vec<f64> {
         let candidates = draw_candidates(dim, opts, rng);
-        let scores: Vec<f64> = candidates.iter().map(|p| score(p)).collect();
-        refine(&candidates, &scores, score, opts)
+        let mut g = vec![0.0; dim];
+        let scores: Vec<f64> = candidates.iter().map(|p| score(p, &mut g)).collect();
+        refine(&candidates, &scores, &Smooth(score), opts)
     }
 
     #[test]
@@ -178,7 +181,11 @@ mod tests {
         let mut rng = rng_from_seed(1);
         let target = [0.3, 0.7];
         let x = maximize_acquisition(
-            |p| -(p[0] - target[0]).powi(2) - (p[1] - target[1]).powi(2),
+            |p, g| {
+                g[0] = -2.0 * (p[0] - target[0]);
+                g[1] = -2.0 * (p[1] - target[1]);
+                -(p[0] - target[0]).powi(2) - (p[1] - target[1]).powi(2)
+            },
             2,
             &OptimizeOptions::default(),
             &mut rng,
@@ -192,22 +199,25 @@ mod tests {
         let mut rng = rng_from_seed(2);
         // Optimum outside the box: the maximiser should pin to the corner.
         let x = maximize_acquisition(
-            |p| p[0] + p[1],
+            |p, g| {
+                g.fill(1.0);
+                p[0] + p[1]
+            },
             2,
             &OptimizeOptions::default(),
             &mut rng,
         );
-        assert!(x[0] > 0.999 && x[1] > 0.999, "corner not reached: {x:?}");
-        assert!(x.iter().all(|&v| (0.0..=1.0).contains(&v)));
+        assert_eq!(x, vec![1.0, 1.0], "corner not reached");
     }
 
     #[test]
     fn multimodal_surface_finds_the_better_mode() {
         let mut rng = rng_from_seed(3);
         // Two Gaussian bumps; the one at 0.8 is taller.
-        let f = |p: &[f64]| {
+        let f = |p: &[f64], g: &mut [f64]| {
             let a = (-((p[0] - 0.2) / 0.05).powi(2)).exp() * 0.8;
             let b = (-((p[0] - 0.8) / 0.05).powi(2)).exp();
+            g[0] = -2.0 * (p[0] - 0.2) / 0.0025 * a - 2.0 * (p[0] - 0.8) / 0.0025 * b;
             a + b
         };
         let x = maximize_acquisition(f, 1, &OptimizeOptions::default(), &mut rng);
@@ -218,7 +228,12 @@ mod tests {
     fn works_in_higher_dimensions() {
         let mut rng = rng_from_seed(4);
         let x = maximize_acquisition(
-            |p| -p.iter().map(|&v| (v - 0.5).powi(2)).sum::<f64>(),
+            |p, g| {
+                for (gi, &v) in g.iter_mut().zip(p) {
+                    *gi = -2.0 * (v - 0.5);
+                }
+                -p.iter().map(|&v| (v - 0.5).powi(2)).sum::<f64>()
+            },
             8,
             &OptimizeOptions::default(),
             &mut rng,
@@ -226,5 +241,162 @@ mod tests {
         for &v in &x {
             assert!((v - 0.5).abs() < 0.05, "coordinate {v}");
         }
+    }
+
+    /// The 16 training inputs of [`posterior`].
+    fn inputs() -> Vec<Vec<f64>> {
+        (0..16)
+            .map(|i| vec![(i as f64 * 0.37).fract(), (i as f64 * 0.61 + 0.1).fract()])
+            .collect()
+    }
+
+    /// A GP on 16 runtime-scale points in 2-D (all at one value when
+    /// `flat`), and its incumbent.
+    fn posterior(flat: bool, noise: f64) -> (GpModel<Matern52>, f64) {
+        let x = inputs();
+        let y: Vec<f64> = x
+            .iter()
+            .map(|p| if flat { 50.0 } else { 100.0 + 30.0 * (4.0 * p[0]).sin() - 20.0 * p[1] })
+            .collect();
+        let best = y.iter().copied().fold(f64::INFINITY, f64::min);
+        (GpModel::fit(x, &y, Matern52::new(0.3, 1.2), noise).unwrap(), best)
+    }
+
+    /// Points inside the box, on its faces, and on training input 3.
+    fn probes() -> Vec<Vec<f64>> {
+        vec![
+            vec![0.31, 0.52],
+            vec![0.85, 0.2],
+            vec![0.0, 0.45],
+            vec![1.0, 1.0],
+            inputs().swap_remove(3),
+        ]
+    }
+
+    /// The acquisition's analytic gradient (of the score, not its
+    /// negation) at `q`.
+    fn score_gradient(acq: &NegatedAcquisition, q: &[f64]) -> Vec<f64> {
+        let (_, at) = acq.value(q).unwrap();
+        let mut g = vec![0.0; q.len()];
+        acq.gradient(at, &mut g);
+        g.iter().map(|v| -v).collect()
+    }
+
+    /// Fourth-order central differences of the score at `q`, step `h`.
+    fn score_differences(acq: &NegatedAcquisition, q: &[f64], h: f64) -> Vec<f64> {
+        (0..q.len())
+            .map(|d| {
+                let f = |t: f64| {
+                    let mut p = q.to_vec();
+                    p[d] += t;
+                    let (mean, var) = acq.model.predict(&p);
+                    acq.score(mean, var)
+                };
+                (-f(2.0 * h) + 8.0 * f(h) - 8.0 * f(-h) + f(-2.0 * h)) / (12.0 * h)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn acquisition_gradients_match_central_differences() {
+        // LCB is smooth in (µ, σ): ‖analytic − fd‖∞ ≤ 1e-6·‖fd‖∞ (floor
+        // 1e-3 for a vanishing gradient), as for the posterior itself. Its
+        // step is small because σ = √σ² bends sharply on a training input.
+        //
+        // PI and EI go through `norm_cdf`, whose erf (A&S 7.1.26) is off
+        // by up to 1.5e-7, so Φ by up to ε = 7.5e-8 and its slope is not
+        // exactly φ. That error enters PI as is and EI times
+        // d = f(x⁺) − µ − ξ; the four-point stencil (weights 1, 8, 8, 1
+        // over 12h) amplifies an error bounded by ε to at most 1.5·ε/h.
+        // So PI and EI are held to 1e-6·‖fd‖∞ plus 1.5·ε·c/h, with c = 1
+        // for PI and c = max |d| over the stencil for EI, at h = 1e-3.
+        const ERF_PHI_ERROR: f64 = 7.5e-8;
+        let (model, best) = posterior(false, 1e-4);
+        for kind in crate::ALL_ACQUISITIONS {
+            let acq = NegatedAcquisition {
+                model: &model,
+                kind,
+                best,
+                xi: 0.01,
+                kappa: 1.96,
+            };
+            let h = if kind == AcquisitionKind::Lcb { 1e-5 } else { 1e-3 };
+            for q in probes() {
+                let g = score_gradient(&acq, &q);
+                let fd = score_differences(&acq, &q, h);
+                let scale = fd.iter().fold(1e-3f64, |m, v| m.max(v.abs()));
+                let erf_error = match kind {
+                    AcquisitionKind::Lcb => 0.0,
+                    AcquisitionKind::Pi => 1.5 * ERF_PHI_ERROR / h,
+                    AcquisitionKind::Ei => {
+                        let mut d_max = 0.0f64;
+                        for d in 0..q.len() {
+                            for t in [-2.0 * h, -h, h, 2.0 * h] {
+                                let mut p = q.clone();
+                                p[d] += t;
+                                d_max = d_max.max((best - model.predict(&p).0 - acq.xi).abs());
+                            }
+                        }
+                        1.5 * ERF_PHI_ERROR * d_max / h
+                    }
+                };
+                for (a, f) in g.iter().zip(&fd) {
+                    assert!(
+                        (a - f).abs() <= 1e-6 * scale + erf_error,
+                        "{} at {q:?}: analytic {g:?} vs differences {fd:?}",
+                        kind.name()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn zero_sigma_and_flat_targets_give_finite_in_box_points() {
+        // Zero noise makes σ vanish (or clamp to 0) on the training
+        // inputs; flat targets make every acquisition flat in µ.
+        for (flat, noise) in [(false, 0.0), (true, 1e-4), (true, 0.0)] {
+            let (model, best) = posterior(flat, noise);
+            for kind in crate::ALL_ACQUISITIONS {
+                let acq = NegatedAcquisition {
+                    model: &model,
+                    kind,
+                    best,
+                    xi: 0.01,
+                    kappa: 1.96,
+                };
+                let mut candidates = probes();
+                candidates.extend(inputs());
+                for q in &candidates {
+                    assert!(score_gradient(&acq, q).iter().all(|v| v.is_finite()));
+                }
+                let scores: Vec<f64> = candidates
+                    .iter()
+                    .map(|q| {
+                        let (mean, var) = model.predict(q);
+                        acq.score(mean, var)
+                    })
+                    .collect();
+                let x = refine(&candidates, &scores, &acq, &OptimizeOptions::default());
+                assert!(
+                    x.iter().all(|v| (0.0..=1.0).contains(v)),
+                    "{}: {x:?} left the box",
+                    kind.name()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_start_that_cannot_improve_returns_the_best_candidate() {
+        // A flat score: every start stops where it began, and the ranking
+        // (ties in candidate order) picks the first candidate.
+        let candidates = vec![vec![0.2, 0.4], vec![0.6, 0.1]];
+        let flat = Smooth(|_: &[f64], g: &mut [f64]| {
+            g.fill(0.0);
+            1.0
+        });
+        let x = refine(&candidates, &[1.0, 1.0], &flat, &OptimizeOptions::default());
+        assert_eq!(x, candidates[0]);
     }
 }

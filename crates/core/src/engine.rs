@@ -252,7 +252,6 @@ mod tests {
         o.bo.hyper.restarts = 1;
         o.bo.hyper.evals_per_restart = 40;
         o.bo.optimize.candidates = 48;
-        o.bo.optimize.halvings = 3;
         o
     }
 

@@ -32,7 +32,6 @@ impl RoboTuneOptions {
         o.engine.bo.hyper.restarts = 1;
         o.engine.bo.hyper.evals_per_restart = 40;
         o.engine.bo.optimize.candidates = 48;
-        o.engine.bo.optimize.halvings = 3;
         o.engine.bo.refit_every = 8;
         o
     }

@@ -112,6 +112,32 @@ impl Matern52 {
     }
 }
 
+impl Matern52 {
+    /// [`Kernel::eval_row`] into `out`, bit for bit, plus each point's
+    /// slope factor `(1 + s_i)·e^{−s_i}` into `slope`, from the same
+    /// `e^{−s_i}`. The row's gradient in `q` is
+    /// `∂k_i/∂q_d = −σ²·5/(3ℓ²)·(1 + s_i)·e^{−s_i}·(q_d − x_{d,i})`,
+    /// which has no singularity at `s = 0`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `xt.len() != q.len() * out.len()` or `slope` is shorter
+    /// than `out`.
+    pub fn eval_row_with_slope(&self, q: &[f64], xt: &[f64], out: &mut [f64], slope: &mut [f64]) {
+        assert!(slope.len() >= out.len(), "eval_row_with_slope: slope too short");
+        dim_sums(q, xt, out, |_, d| d * d);
+        for v in out.iter_mut() {
+            *v = sqrt5_dist(*v) / self.length_scale;
+        }
+        for (v, sl) in out.iter_mut().zip(slope) {
+            let s = *v;
+            let e = (-s).exp();
+            *v = self.variance * (1.0 + s + s * s / 3.0) * e;
+            *sl = (1.0 + s) * e;
+        }
+    }
+}
+
 impl Kernel for Matern52 {
     fn eval(&self, a: &[f64], b: &[f64]) -> f64 {
         self.eval_sq_dist(sq_dist(a, b))

@@ -28,16 +28,16 @@ pub mod prepared;
 pub use error::GpError;
 pub use hyper::{fit_gp, fit_gp_ard, FitStrategy, HyperFitOptions};
 pub use kernel::{Kernel, Matern52, Matern52Ard, SquaredExp};
-pub use model::GpModel;
+pub use model::{GpModel, PosteriorAt};
 pub use prepared::{CachedKernel, PreparedData};
 
 /// The host's available parallelism, read once per process.
 ///
 /// `std::thread::available_parallelism` queries the affinity mask and the
 /// cgroup quota on every call, which is a measurable cost on a path run
-/// several times per suggest. Thread counts never change a result here
-/// (work is split into independent, deterministically ordered chunks), so
-/// a value cached before a later affinity change only affects speed.
+/// once per hyperfit. Thread counts never change a result here (the
+/// restarts are independent and selected in a fixed order), so a value
+/// cached before a later affinity change only affects speed.
 pub(crate) fn host_parallelism() -> usize {
     static CPUS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
     *CPUS.get_or_init(|| std::thread::available_parallelism().map_or(1, usize::from))

@@ -5,12 +5,8 @@ use std::time::Instant;
 use robotune_linalg::Matrix;
 
 use crate::error::GpError;
-use crate::kernel::Kernel;
+use crate::kernel::{Kernel, Matern52};
 use crate::prepared::{factor_with_jitter_tracked, CachedKernel, PreparedData};
-
-/// Smallest batch worth spreading over scoped threads in
-/// [`GpModel::predict_batch`]; below this the spawn overhead dominates.
-const BATCH_PAR_MIN: usize = 64;
 
 /// A fitted Gaussian-process regression model.
 ///
@@ -66,6 +62,30 @@ fn solve_lower_cols(l_cols: &Matrix, b: &mut [f64]) {
     if k < n {
         b[k] /= l_cols[(k, k)];
     }
+}
+
+/// Solves `Lᵀ w = b` in place (back-substitution), `l_cols` holding `L`
+/// column-major: row `k` of `l_cols` is row `k` of `Lᵀ`, so each step is
+/// one contiguous dot product.
+fn solve_upper_cols(l_cols: &Matrix, b: &mut [f64]) {
+    for k in (0..b.len()).rev() {
+        let row = &l_cols.row(k)[k..];
+        let later: f64 = row[1..].iter().zip(&b[k + 1..]).map(|(l, w)| l * w).sum();
+        b[k] = (b[k] - later) / row[0];
+    }
+}
+
+/// The posterior at one query point from [`GpModel::predict_at`], with
+/// what [`GpModel::predict_grad`] needs to differentiate it there.
+#[derive(Debug, Clone)]
+pub struct PosteriorAt {
+    /// Posterior mean, bit-identical to [`GpModel::predict`]'s.
+    pub mean: f64,
+    /// Posterior variance, bit-identical to [`GpModel::predict`]'s.
+    pub var: f64,
+    /// `L⁻¹k*`, then each training point's `(1 + s)·e^{−s}`, then the
+    /// query point: `n + n + dim` words in one allocation.
+    buf: Vec<f64>,
 }
 
 /// `x` transposed into one contiguous run per dimension.
@@ -195,6 +215,12 @@ impl<K: Kernel> GpModel<K> {
     /// length `n`.
     fn predict_with(&self, q: &[f64], k: &mut [f64]) -> (f64, f64) {
         self.kernel.eval_row(q, &self.xt, k);
+        self.posterior_from_row(q, k)
+    }
+
+    /// Posterior mean and variance at `q` from its kernel row `k`,
+    /// leaving `L⁻¹k` in `k`.
+    fn posterior_from_row(&self, q: &[f64], k: &mut [f64]) -> (f64, f64) {
         let mu_norm: f64 = k.iter().zip(&self.alpha).map(|(a, b)| a * b).sum();
         // var = k(q,q) − ‖L⁻¹ k*‖².
         solve_lower_cols(&self.l_cols, k);
@@ -210,47 +236,14 @@ impl<K: Kernel> GpModel<K> {
         self.predict(q).1.sqrt()
     }
 
-    /// Posterior mean and variance at every query point at once, each
-    /// bit-identical to [`GpModel::predict`] on that point.
-    ///
-    /// Batches of [`BATCH_PAR_MIN`] or more queries are split into
-    /// contiguous chunks scored on `std::thread::scope` threads when the
-    /// host has more than one core; queries are independent, so the output
-    /// (concatenated in input order) does not depend on scheduling.
+    /// Posterior mean and variance at every query point, each
+    /// bit-identical to [`GpModel::predict`] on that point, through one
+    /// reused kernel-row buffer.
     ///
     /// # Panics
     ///
     /// Panics if a query does not match the training inputs' dimension.
-    pub fn predict_batch(&self, qs: &[Vec<f64>]) -> Vec<(f64, f64)>
-    where
-        K: Sync,
-    {
-        if qs.is_empty() {
-            return Vec::new();
-        }
-        let workers = crate::host_parallelism();
-        if workers > 1 && qs.len() >= BATCH_PAR_MIN {
-            let chunk = qs.len().div_ceil(workers);
-            let mut out = Vec::with_capacity(qs.len());
-            std::thread::scope(|s| {
-                let handles: Vec<_> = qs
-                    .chunks(chunk)
-                    .map(|c| s.spawn(move || self.predict_batch_chunk(c)))
-                    .collect();
-                for h in handles {
-                    match h.join() {
-                        Ok(part) => out.extend(part),
-                        Err(payload) => std::panic::resume_unwind(payload),
-                    }
-                }
-            });
-            out
-        } else {
-            self.predict_batch_chunk(qs)
-        }
-    }
-
-    fn predict_batch_chunk(&self, qs: &[Vec<f64>]) -> Vec<(f64, f64)> {
+    pub fn predict_batch(&self, qs: &[Vec<f64>]) -> Vec<(f64, f64)> {
         let mut k = vec![0.0; self.alpha.len()];
         qs.iter().map(|q| self.predict_with(q, &mut k)).collect()
     }
@@ -261,6 +254,73 @@ impl<K: Kernel> GpModel<K> {
         let n = self.y_norm.len() as f64;
         let fit: f64 = self.y_norm.iter().zip(&self.alpha).map(|(a, b)| a * b).sum();
         -0.5 * fit - 0.5 * self.log_det - 0.5 * n * (2.0 * std::f64::consts::PI).ln()
+    }
+}
+
+impl GpModel<Matern52> {
+    /// [`GpModel::predict`] at `q`, bit for bit, keeping what
+    /// [`GpModel::predict_grad`] needs: `L⁻¹k*` and each training point's
+    /// slope factor ([`Matern52::eval_row_with_slope`]), so the gradient
+    /// evaluates no exponential.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `q` does not match the training inputs' dimension.
+    pub fn predict_at(&self, q: &[f64]) -> PosteriorAt {
+        let n = self.alpha.len();
+        let mut buf = vec![0.0; 2 * n + q.len()];
+        let (k, rest) = buf.split_at_mut(n);
+        let (slope, query) = rest.split_at_mut(n);
+        self.kernel.eval_row_with_slope(q, &self.xt, k, slope);
+        query.copy_from_slice(q);
+        let (mean, var) = self.posterior_from_row(q, k);
+        PosteriorAt { mean, var, buf }
+    }
+
+    /// The gradients of the posterior mean and variance in the query
+    /// point `at` was evaluated at: `∂μ/∂q` into `dmean`, `∂σ²/∂q` into
+    /// `dvar`, in original target units.
+    ///
+    /// With `∂k_i/∂q` from [`Matern52::eval_row_with_slope`],
+    /// `∂μ/∂q = y_std·Σ α_i ∂k_i/∂q` and
+    /// `∂σ²/∂q = −2·y_std²·Σ w_i ∂k_i/∂q`, where `w = L⁻ᵀ(L⁻¹k*)` costs
+    /// one back-substitution on top of the solve [`GpModel::predict_at`]
+    /// already did. Where the variance is clamped at zero its gradient
+    /// is zero.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `dmean` and `dvar` have the query's dimension.
+    pub fn predict_grad(&self, at: PosteriorAt, dmean: &mut [f64], dvar: &mut [f64]) {
+        let n = self.alpha.len();
+        let PosteriorAt { var, mut buf, .. } = at;
+        let (w, rest) = buf.split_at_mut(n);
+        let (slope, q) = rest.split_at_mut(n);
+        assert!(
+            dmean.len() == q.len() && dvar.len() == q.len(),
+            "predict_grad: one gradient entry per dimension"
+        );
+        solve_upper_cols(&self.l_cols, w);
+        // Each point's weight in the two sums: α_i·(1 + s_i)e^{−s_i} and
+        // w_i·(1 + s_i)e^{−s_i}, overwriting the slope and w.
+        for ((wi, si), &ai) in w.iter_mut().zip(slope.iter_mut()).zip(&self.alpha) {
+            *wi *= *si;
+            *si *= ai;
+        }
+        let ls = self.kernel.length_scale;
+        let dk = -self.kernel.variance * 5.0 / (3.0 * ls * ls);
+        let mean_scale = self.y_std * dk;
+        let var_scale = if var > 0.0 { -2.0 * self.y_std * self.y_std * dk } else { 0.0 };
+        for (d, col) in self.xt.chunks_exact(n).enumerate() {
+            let (mut sm, mut sv) = (0.0, 0.0);
+            for ((&x, &a), &b) in col.iter().zip(&*slope).zip(&*w) {
+                let diff = q[d] - x;
+                sm += a * diff;
+                sv += b * diff;
+            }
+            dmean[d] = mean_scale * sm;
+            dvar[d] = var_scale * sv;
+        }
     }
 }
 
@@ -407,8 +467,8 @@ mod tests {
     #[test]
     fn predict_batch_is_bit_identical_to_pointwise_predict() {
         let m = toy_model(1e-4);
-        // Cover both the serial path and (on multi-core hosts) the
-        // chunk-parallel path by exceeding BATCH_PAR_MIN.
+        // One kernel-row buffer serves the whole batch; no query may see
+        // another's leftovers.
         let qs: Vec<Vec<f64>> = (0..200).map(|i| vec![i as f64 * 0.017 - 0.5]).collect();
         let batch = m.predict_batch(&qs);
         assert_eq!(batch.len(), qs.len());
@@ -418,6 +478,84 @@ mod tests {
             assert_eq!(bvar, var, "variance at {q:?}");
         }
         assert!(m.predict_batch(&[]).is_empty());
+    }
+
+    /// Training input `i` of [`gradient_model`].
+    fn gradient_input(i: usize) -> Vec<f64> {
+        let t = i as f64;
+        vec![(t * 0.37).fract(), (t * 0.61 + 0.1).fract(), (t * 0.23 + 0.5).fract()]
+    }
+
+    /// A 3-D fit on runtime-scale targets (so `y_std` and `y_mean`
+    /// matter), optionally with every training row duplicated.
+    fn gradient_model(duplicate: bool, noise: f64) -> GpModel<Matern52> {
+        let mut x: Vec<Vec<f64>> = (0..20).map(gradient_input).collect();
+        if duplicate {
+            x.extend(x.clone());
+        }
+        let y: Vec<f64> = x
+            .iter()
+            .map(|p| 100.0 + 30.0 * (4.0 * p[0]).sin() - 20.0 * p[1] * p[2])
+            .collect();
+        GpModel::fit(x, &y, Matern52::new(0.4, 1.3), noise).unwrap()
+    }
+
+    /// Fourth-order central differences of the posterior mean and
+    /// variance at `q`, step `h`.
+    fn fd_posterior(m: &GpModel<Matern52>, q: &[f64], h: f64) -> (Vec<f64>, Vec<f64>) {
+        let mut dmean = vec![0.0; q.len()];
+        let mut dvar = vec![0.0; q.len()];
+        for d in 0..q.len() {
+            let at = |t: f64| {
+                let mut p = q.to_vec();
+                p[d] += t;
+                m.predict(&p)
+            };
+            let (p2, p1, m1, m2) = (at(2.0 * h), at(h), at(-h), at(-2.0 * h));
+            dmean[d] = (-p2.0 + 8.0 * p1.0 - 8.0 * m1.0 + m2.0) / (12.0 * h);
+            dvar[d] = (-p2.1 + 8.0 * p1.1 - 8.0 * m1.1 + m2.1) / (12.0 * h);
+        }
+        (dmean, dvar)
+    }
+
+    /// `‖analytic − fd‖∞ ≤ 1e-6 · max(‖fd‖∞, floor)`: relative to the
+    /// gradient's largest component, with a floor for a gradient that
+    /// vanishes (a variance minimum on a training input).
+    fn assert_close(what: &str, analytic: &[f64], fd: &[f64], floor: f64) {
+        let scale = fd.iter().fold(floor, |m, v| m.max(v.abs()));
+        for (a, f) in analytic.iter().zip(fd) {
+            assert!(
+                (a - f).abs() <= 1e-6 * scale,
+                "{what}: analytic {analytic:?} vs differences {fd:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn posterior_gradient_matches_central_differences() {
+        let clean = gradient_model(false, 1e-4);
+        let jittered = gradient_model(true, 0.0);
+        assert!(jittered.jitter() > 0.0, "duplicate rows must take the jitter path");
+        let queries = [
+            vec![0.31, 0.52, 0.77],
+            vec![0.9, 0.15, 0.4],
+            vec![0.0, 0.45, 0.6],
+            vec![1.0, 1.0, 0.0],
+            gradient_input(3),
+        ];
+        for (name, m) in [("clean", &clean), ("jitter", &jittered)] {
+            for q in &queries {
+                let at = m.predict_at(q);
+                assert_eq!((at.mean, at.var), m.predict(q), "{name}: value half moved");
+                let mut dmean = vec![0.0; 3];
+                let mut dvar = vec![0.0; 3];
+                m.predict_grad(at, &mut dmean, &mut dvar);
+                let (fd_mean, fd_var) = fd_posterior(m, q, 1e-4);
+                // Differences of values near 100 round at ~1e-14/h = 1e-10.
+                assert_close(&format!("{name} ∂µ at {q:?}"), &dmean, &fd_mean, 1e-3);
+                assert_close(&format!("{name} ∂σ² at {q:?}"), &dvar, &fd_var, 1e-3);
+            }
+        }
     }
 
     #[test]

@@ -53,7 +53,6 @@ impl HyperbandBoOptions {
         bo.hyper.restarts = 1;
         bo.hyper.evals_per_restart = 40;
         bo.optimize.candidates = 48;
-        bo.optimize.halvings = 3;
         bo.refit_every = 8;
         HyperbandBoOptions { bo: bo.for_full_space(), ..HyperbandBoOptions::default() }
     }

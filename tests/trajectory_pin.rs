@@ -53,29 +53,29 @@ const TS_TIME_BITS: [&[u64]; 2] = [
         0x405d12a19b92fc76, 0x4059de7e8537cd8f, 0x40619cd5b35d1b66,
         0x4056b9f91cb7d5e5, 0x4059b449311965e3, 0x405c979a5877457c,
         0x4057307619cf6379, 0x40708228f8c2664b, 0x40662a054f419459,
-        0x4051e343db4ac111, 0x40583680db1016fa, 0x405392b1af0382ec,
-        0x40265bdd68774c08, 0x4056b05142265851, 0x4054260ae5c3b450,
-        0x40572791583c12e7, 0x405e9d0da5e9192f, 0x405649401242a461,
-        0x405f9931294775c6, 0x405cb918f15adb49, 0x405d0242ea5a73a7,
+        0x4051e343db4ac111, 0x40583680db1016fa, 0x405392b8642a29c9,
+        0x405a8d16ec0daa4a, 0x40561f4c9d2f2d00, 0x4056769406054dab,
+        0x405e25625fa159f5, 0x4060317387d2d5ea, 0x405a6c812744d848,
+        0x405e24a00c639251, 0x40275e1a6dc413d2, 0x4058f7e21efe2c6d,
     ],
     &[
-        0x405d4a0e2cb3b7a9, 0x405b0f99dbe1fe7f, 0x405a56596ff6cb37,
-        0x405f9cb884e3165f, 0x4062dec8cacff909, 0x4062d69123d460bf,
-        0x4076d68a82988d43, 0x4076d68a82988d43, 0x4063c54259279712,
+        0x405d4a0e2cb3b7a9, 0x405b0fa388e1c405, 0x405b238a95271d49,
+        0x40601458fcc25120, 0x4062dec8cacff909, 0x4062d69123d460bf,
+        0x40770b080e5521b7, 0x40770b080e5521b7, 0x4063c54259279712,
         0x405cabd982907964, 0x4061ab7fdb08c829, 0x406391cede9f8ea4,
         0x40647fb9889faaf9, 0x406369d2461eb737, 0x4065278613d791e4,
         0x40639a8e108d6bb6, 0x4028b8fdb2d67dde, 0x40626d72e91fed7e,
-        0x4064180df74ec1de, 0x405f83e7d907836c, 0x405a4bee4b2e73f7,
-        0x405d71812c725b0f, 0x40276ccfaf901340, 0x405efa1738ef429b,
-        0x4061f7b838371c76, 0x40650ab71f05fac7, 0x405e092eb80df901,
-        0x406422b1f794f5f7, 0x405cd7608c92cb76, 0x405a84cfbc4d2995,
+        0x4064180df74ec1de, 0x405f83e7d907836c, 0x4025b82c95675726,
+        0x405ca5d00aa836f9, 0x405c5c93faa6f036, 0x4064b9047b0a0924,
+        0x40728cb4c8743ef6, 0x405f2e63b86d13a6, 0x405e093263f49963,
+        0x406046b992d7b8b6, 0x405cd70c343e654d, 0x406385d8f120c8af,
     ],
 ];
 /// FNV-1a over the cold session's ranked group importances (member
 /// indices and importance bits, in rank order).
 const TS_IMPORTANCE_FNV: u64 = 0x30df197c42db86a0;
 /// FNV-1a over every evaluated unit-cube point of both sessions.
-const TS_POINTS_FNV: u64 = 0xf9497e659c08bf9e;
+const TS_POINTS_FNV: u64 = 0x1971217b4f227c15;
 
 #[test]
 fn robotune_cold_then_warm_session_is_pinned() {
@@ -122,26 +122,27 @@ fn robotune_cold_then_warm_session_is_pinned() {
 /// smooth 4-D objective, after 20 random observations.
 const BO_SEED: u64 = 11;
 const BO_Y_BITS: &[u64] = &[
-    0x3fda279a2b865940, 0x3fa5012af31a2116, 0x3f9a36546673aaea,
-    0x3f9d41528d895ade, 0x3fd48008ae68f73c, 0x3f98732d84f7ab2a,
-    0x3fda4023489c5b83, 0x3f9e29c54c531d89, 0x3fdb3425d3ac0e5d,
-    0x3f97fab47c8578e2, 0x3f9628ecc851b858, 0x3f961075d6cdb982,
-    0x3f962089ce65bcb7, 0x3f9619451044acfe, 0x3f965d7ccf770735,
-    0x3f9665dcd714557e, 0x3f962360623035a0, 0x3f9670bcb8e044ee,
-    0x3f9661183c76cd14, 0x3f962610122f0d7c, 0x3f966d4e3cd07950,
-    0x3f965ce0fc4ba594, 0x3f9678ccf60da1aa, 0x3f96169c13fcf6d6,
-    0x3f9666c63d353b76, 0x3f964d53f0562ba8, 0x3f9654423696c787,
-    0x3f961db556bfde44, 0x3f96784d3a8c3253, 0x3f964e70c616a900,
+    0x3fda21e9bf4920ea, 0x3fa509dfb2c29cd6, 0x3fa224cd5f0ec5b3,
+    0x3f9a94a4ee48baac, 0x3fd213816aead4fd, 0x3f993e54896ba3a7,
+    0x3f99bf66944301dd, 0x3fda3dab8875d70d, 0x3fe3863a5cdf75b6,
+    0x3f99186f30f51952, 0x3f9673e96795c2d7, 0x3f962250382929e8,
+    0x3f96a51f9bdc18a0, 0x3f96211f06fcde3e, 0x3f966a3005cc6228,
+    0x3f962dc811c4f6ec, 0x3f966a59f1ef8108, 0x3f9615d77287be50,
+    0x3f9697a6112daf07, 0x3f9640c0737ab9bc, 0x3f9675922d17b6f2,
+    0x3f961d3b0a040ecd, 0x3f967255a6a38c82, 0x3f963726c2a3b020,
+    0x3f96662f307b45cd, 0x3f961c155ba676cc, 0x3f9654789f842033,
+    0x3f967222e49a7c5e, 0x3f9656a293c71f10, 0x3f96357184ceaee0,
 ];
 /// FNV-1a over every suggested point.
-const BO_POINTS_FNV: u64 = 0xeb1660f855e1c2a3;
+const BO_POINTS_FNV: u64 = 0x020d87510ec3616d;
 /// FNV-1a over the final model's posterior (mean, variance) bits on a
 /// fixed grid. Trajectories only move when a changed bit flips a
 /// comparison; this catches the changed bit itself.
-const BO_POSTERIOR_FNV: u64 = 0x2cbb32daaedc70c7;
+const BO_POSTERIOR_FNV: u64 = 0xfa09e151a3bc7e0b;
 
-#[test]
-fn bo_engine_trajectory_is_pinned() {
+/// The pinned loop under `opts`: the suggested points and the observed
+/// values' bits, and the engine after it.
+fn bo_engine_run(opts: BoOptions) -> (Vec<u64>, Vec<u64>, BoEngine, rand::rngs::StdRng) {
     use rand::Rng;
     const DIM: usize = 4;
     let objective = |x: &[f64]| -> f64 {
@@ -151,7 +152,7 @@ fn bo_engine_trajectory_is_pinned() {
             .sum::<f64>()
             + (7.0 * x[0]).sin() * 0.05
     };
-    let mut engine = BoEngine::new(DIM, BoOptions::default());
+    let mut engine = BoEngine::new(DIM, opts);
     let mut rng = rng_from_seed(BO_SEED);
     for _ in 0..20 {
         let x: Vec<f64> = (0..DIM).map(|_| rng.gen::<f64>()).collect();
@@ -167,13 +168,19 @@ fn bo_engine_trajectory_is_pinned() {
         ys.push(y.to_bits());
         engine.observe(x, y).expect("finite observation");
     }
+    (points, ys, engine, rng)
+}
+
+#[test]
+fn bo_engine_trajectory_is_pinned() {
+    let (points, ys, mut engine, mut rng) = bo_engine_run(BoOptions::default());
     assert_eq!(ys, BO_Y_BITS, "observed values moved; observed {}", hex_list(&ys));
     let h = fnv(points);
     assert_eq!(h, BO_POINTS_FNV, "suggested points moved; observed 0x{h:016x}");
 
     engine.refit(&mut rng);
     let grid = (0..64).map(|i| {
-        (0..DIM)
+        (0..4)
             .map(|d| ((i * (d + 3)) % 17) as f64 / 16.0)
             .collect::<Vec<_>>()
     });
@@ -182,4 +189,16 @@ fn bo_engine_trajectory_is_pinned() {
         [mean.to_bits(), var.to_bits()]
     }));
     assert_eq!(h, BO_POSTERIOR_FNV, "posterior moved; observed 0x{h:016x}");
+}
+
+/// The negative control for the pin above: a different hyperfit (one
+/// more random restart) must move the suggested points, or the pinned
+/// trajectory would not be exercising the fitted hyperparameters.
+#[test]
+fn bo_engine_trajectory_moves_with_the_hyperfit() {
+    let mut opts = BoOptions::default();
+    opts.hyper.restarts += 1;
+    let (points, _, _, _) = bo_engine_run(opts);
+    let h = fnv(points);
+    assert_ne!(h, BO_POINTS_FNV, "the trajectory ignored a changed hyperfit");
 }
