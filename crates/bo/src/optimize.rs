@@ -3,7 +3,7 @@
 //! As scikit-optimize does with `acq_optimizer="lbfgs"`: score a batch of
 //! random candidates under the posterior, then run a bounded quasi-Newton
 //! search on the analytic acquisition gradient from the best few. The
-//! search is [`robotune_linalg::bfgs`]'s projected BFGS on the unit cube,
+//! search is [`robotune_gp::bfgs`]'s projected BFGS on the unit cube,
 //! each start capped at [`EVALS_PER_START`] value evaluations; the
 //! gradient comes from [`GpModel::predict_grad`] through
 //! [`AcquisitionKind::score_slopes`].
@@ -13,8 +13,8 @@
 //! posterior pass over it, as scikit-optimize's `gp_hedge` does.
 
 use rand::Rng;
+use robotune_gp::bfgs::{minimize, Objective};
 use robotune_gp::{GpModel, Matern52, PosteriorAt};
-use robotune_linalg::bfgs::{minimize, Objective};
 
 use crate::acquisition::AcquisitionKind;
 
