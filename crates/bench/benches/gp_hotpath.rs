@@ -3,7 +3,9 @@
 //! Times a full `suggest` at n=100 (hyperfit plus nomination), the
 //! hyperfit alone with its restarts on scoped threads and serially, and
 //! the posterior over 256 queries batched vs one `predict` call at a
-//! time. Both restart strategies produce bit-identical suggestions at a
+//! time, and the same 256 posteriors with their gradients (what one
+//! value-and-gradient evaluation of the acquisition search costs). Both
+//! restart strategies produce bit-identical suggestions at a
 //! fixed seed (see `tests/gp_hotpath.rs`), so the comparison is purely
 //! about time.
 
@@ -79,6 +81,15 @@ fn bench_predict_batch(c: &mut Criterion) {
     });
     g.bench_function("predict_256_pointwise", |b| {
         b.iter(|| queries.iter().map(|q| model.predict(q)).collect::<Vec<_>>());
+    });
+    g.bench_function("predict_grad_256", |b| {
+        let (mut dmean, mut dvar) = (vec![0.0; DIM], vec![0.0; DIM]);
+        b.iter(|| {
+            for q in &queries {
+                model.predict_grad(model.predict_at(q), &mut dmean, &mut dvar);
+            }
+            dvar[0]
+        });
     });
     g.finish();
 }

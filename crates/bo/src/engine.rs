@@ -301,13 +301,7 @@ impl BoEngine {
             let candidates = draw_candidates(self.dim, opts, rng);
             let posterior = model.predict_batch(&candidates);
             ALL_ACQUISITIONS.map(|kind| {
-                let acq = NegatedAcquisition {
-                    model,
-                    kind,
-                    best,
-                    xi,
-                    kappa,
-                };
+                let acq = NegatedAcquisition { model, kind, best, xi, kappa };
                 let scores: Vec<f64> = posterior
                     .iter()
                     .map(|&(mu, var)| acq.score(mu, var))

@@ -25,14 +25,14 @@ pub mod kernel;
 pub mod model;
 pub mod prepared;
 
-/// The bounded optimiser the hyperfit runs, for crates that minimise over
-/// a GP posterior (the BO acquisition search).
-pub use robotune_linalg::bfgs;
 pub use error::GpError;
 pub use hyper::{fit_gp, fit_gp_ard, FitStrategy, HyperFitOptions};
 pub use kernel::{Kernel, Matern52, Matern52Ard, SquaredExp};
 pub use model::{GpModel, PosteriorAt};
 pub use prepared::{CachedKernel, PreparedData};
+/// The bounded optimiser the hyperfit runs, for crates that minimise over
+/// a GP posterior (the BO acquisition search).
+pub use robotune_linalg::bfgs;
 
 /// The host's available parallelism, read once per process.
 ///

@@ -70,9 +70,28 @@ fn solve_lower_cols(l_cols: &Matrix, b: &mut [f64]) {
 fn solve_upper_cols(l_cols: &Matrix, b: &mut [f64]) {
     for k in (0..b.len()).rev() {
         let row = &l_cols.row(k)[k..];
-        let later: f64 = row[1..].iter().zip(&b[k + 1..]).map(|(l, w)| l * w).sum();
+        let later = lane_sum(&row[1..], &b[k + 1..], |l, w| l * w);
         b[k] = (b[k] - later) / row[0];
     }
+}
+
+/// `Σ f(xᵢ, yᵢ)` over paired slices, kept in four interleaved partial
+/// sums. A single running sum waits on one addition per term; four keep
+/// the adder busy, which more than halves the cost of the posterior
+/// gradient's sums. The order is fixed, so the result is deterministic.
+#[inline(always)]
+fn lane_sum(x: &[f64], y: &[f64], f: impl Fn(f64, f64) -> f64) -> f64 {
+    let mut lanes = [0.0; 4];
+    let full = x.len().min(y.len()) / 4 * 4;
+    for (xs, ys) in x[..full].chunks_exact(4).zip(y[..full].chunks_exact(4)) {
+        for ((lane, &xi), &yi) in lanes.iter_mut().zip(xs).zip(ys) {
+            *lane += f(xi, yi);
+        }
+    }
+    for (l, (&xi, &yi)) in x[full..].iter().zip(&y[full..]).enumerate() {
+        lanes[l] += f(xi, yi);
+    }
+    (lanes[0] + lanes[1]) + (lanes[2] + lanes[3])
 }
 
 /// The posterior at one query point from [`GpModel::predict_at`], with
@@ -312,14 +331,9 @@ impl GpModel<Matern52> {
         let mean_scale = self.y_std * dk;
         let var_scale = if var > 0.0 { -2.0 * self.y_std * self.y_std * dk } else { 0.0 };
         for (d, col) in self.xt.chunks_exact(n).enumerate() {
-            let (mut sm, mut sv) = (0.0, 0.0);
-            for ((&x, &a), &b) in col.iter().zip(&*slope).zip(&*w) {
-                let diff = q[d] - x;
-                sm += a * diff;
-                sv += b * diff;
-            }
-            dmean[d] = mean_scale * sm;
-            dvar[d] = var_scale * sv;
+            let offsets = |weights: &[f64]| lane_sum(col, weights, |x, c| c * (q[d] - x));
+            dmean[d] = mean_scale * offsets(slope);
+            dvar[d] = var_scale * offsets(w);
         }
     }
 }

@@ -50,8 +50,8 @@ pub struct Minimum {
 /// Minimises `f` over the box `bounds` from `x0` (projected into the box
 /// first). An undefined or non-finite value marks an infeasible point,
 /// which the line search backs away from. Stops after `max_evals` value
-/// evaluations, when the projected gradient is below [`PG_TOL`], when a
-/// step's relative decrease is below [`REL_TOL`], or when no descent
+/// evaluations, when the projected gradient is below `PG_TOL` (1e-5), when a
+/// step's relative decrease is below `REL_TOL` (1e7·ε), or when no descent
 /// step is found.
 ///
 /// A variable sits in the active set while it is at a bound and its
