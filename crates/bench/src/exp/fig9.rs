@@ -72,10 +72,7 @@ pub fn run() -> (String, Vec<(String, String)>) {
     let mut iter = engine.session().len();
     for &snap in &SNAPSHOTS {
         while iter < snap {
-            let p = {
-                // Borrow dance: suggest needs &mut engine internals.
-                engine_suggest(&mut engine, &mut rng)
-            };
+            let p = engine.suggest(&mut rng);
             engine.evaluate_point(p, &mut job);
             iter += 1;
         }
@@ -109,12 +106,6 @@ pub fn run() -> (String, Vec<(String, String)>) {
     }
     md.push_str("\nSurface grids: results/fig9_iter<k>.csv\n");
     (md, csvs)
-}
-
-fn engine_suggest(engine: &mut RoboTuneEngine, rng: &mut rand::rngs::StdRng) -> Vec<f64> {
-    // RoboTuneEngine delegates suggestion to its BO engine through
-    // run_keep; for snapshot control we reproduce one step here.
-    engine.suggest(rng)
 }
 
 fn snapshot(

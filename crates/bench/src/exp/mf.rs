@@ -180,8 +180,7 @@ pub fn run(reps: usize, budget: usize, profile: FaultProfile) -> (String, Value)
             );
         } else {
             out.push_str(&format!(
-                "\nHyperband+BO {} the 5% band in {}/{} rep(s){}.\n",
-                if hbbo.hits == hbbo.cells { "reached" } else { "missed" },
+                "\nHyperband+BO reached the 5% band in {}/{} rep(s){}.\n",
                 hbbo.hits,
                 hbbo.cells,
                 match (hbbo.median_cost(), robo.median_cost()) {

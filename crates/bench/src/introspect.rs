@@ -85,12 +85,12 @@ fn render_frame(client: &mut TuningClient, addr: &str) -> Result<String, String>
     let mut out = String::new();
 
     out.push_str(&format!(
-        "robotune-service @ {addr} — {} | workers {} | active {} | queue {}/{} | tracing {}\n",
+        "robotune-service @ {addr} — {} | workers {} | busy {} | live {} | steps queued {} | tracing {}\n",
         health["status"].as_str().unwrap_or("?"),
         health["workers"].as_u64().unwrap_or(0),
         health["sessions_active"].as_u64().unwrap_or(0),
+        health["sessions_live"].as_u64().unwrap_or(0),
         health["queue_depth"].as_u64().unwrap_or(0),
-        health["queue_capacity"].as_u64().unwrap_or(0),
         if health["tracing_enabled"].as_bool().unwrap_or(false) { "on" } else { "off" },
     ));
     out.push_str(&format!(

@@ -34,13 +34,14 @@ pub struct ServeArgs {
     pub port: u16,
     /// Persistent store directory; in-memory when absent.
     pub store: Option<PathBuf>,
-    /// Worker-pool size.
+    /// Compute workers that step sessions.
     pub workers: usize,
-    /// Admission-queue capacity.
+    /// Admission headroom: `overloaded` once `workers + queue` sessions
+    /// are live.
     pub queue: usize,
     /// Reactor dispatch threads; `None` = workers + 8, which keeps
-    /// cheap traffic (queued polls, status) flowing even when every
-    /// session worker has a blocking `suggest` in flight.
+    /// cheap traffic (status, health) flowing even when `workers`
+    /// dispatchers wait inside a `suggest` for a step.
     pub dispatch: Option<usize>,
     /// Failure flight-recorder directory; disabled when absent.
     pub flight_dir: Option<PathBuf>,

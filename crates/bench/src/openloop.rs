@@ -12,7 +12,8 @@
 //! honest way to measure a service under load, since a closed loop
 //! self-throttles exactly when the server degrades. Each tenant
 //! connects, opens a session, and then lives the real tenant life:
-//! poll `suggest` with jittered backoff while queued, evaluate the
+//! `suggest` (backing off with jitter on a retryable `timeout`, or on
+//! the `queued` answer older daemons gave), evaluate the
 //! suggested configuration on its own simulated Spark job when one
 //! arrives, report `observe`, repeat until the session finishes — then
 //! stays connected (an idle tenant must cost the server nothing).
@@ -59,8 +60,9 @@ pub struct OpenLoopArgs {
     pub hold_s: f64,
     /// Per-session BO budget.
     pub budget: usize,
-    /// Base re-poll interval while a session is queued, milliseconds
-    /// (jittered ±50% per poll so 10k tenants don't phase-lock).
+    /// Base re-poll interval after a `timeout` (or an older daemon's
+    /// `queued`), milliseconds (jittered ±50% per poll so 10k tenants
+    /// don't phase-lock).
     pub poll_ms: u64,
     /// Base RNG seed (tenant i uses `seed + i`).
     pub seed: u64,
@@ -151,7 +153,7 @@ enum Phase {
     AwaitSuggest,
     /// `observe` sent, response pending.
     AwaitObserve,
-    /// Queued backoff: the timer heap owns the next suggest.
+    /// Backoff: the timer heap owns the next suggest.
     Idle,
     /// Session finished; connection stays open, tenant stays silent.
     Done,
@@ -348,12 +350,12 @@ impl OpenLoopReport {
                 window("observe")
             ));
             md.push_str(&format!(
-                "server: status={} workers={} active={} queue={}/{}\n",
+                "server: status={} workers={} busy={} live={} steps_queued={}\n",
                 h["status"].as_str().unwrap_or("?"),
                 h["workers"].as_u64().unwrap_or(0),
                 h["sessions_active"].as_u64().unwrap_or(0),
+                h["sessions_live"].as_u64().unwrap_or(0),
                 h["queue_depth"].as_u64().unwrap_or(0),
-                h["queue_capacity"].as_u64().unwrap_or(0),
             ));
         }
         if self.failures.is_empty() {
@@ -632,7 +634,7 @@ pub fn run_open_loop(args: &OpenLoopArgs) -> Result<OpenLoopReport, String> {
     }
     if stats.overloaded > 0 {
         failures.push(format!(
-            "{} sessions refused as overloaded (raise serve --queue above --tenants)",
+            "{} sessions refused as overloaded (raise serve --workers + --queue above --tenants)",
             stats.overloaded
         ));
     }
@@ -766,8 +768,8 @@ fn step(
                     stats.created += 1;
                     stats.open_now += 1;
                     stats.peak_open = stats.peak_open.max(stats.open_now);
-                    // First suggest goes out immediately; it will
-                    // usually answer `queued` and start the backoff.
+                    // First suggest goes out immediately; it waits
+                    // for the session's first step.
                     t.next_id += 1;
                     t.phase = Phase::AwaitSuggest;
                     let frame = frame_suggest(t.next_id, sid.to_string().as_str());
@@ -786,7 +788,7 @@ fn step(
             stats.suggest_rtt_ms.push(rtt_ms);
             if !ok {
                 if code == "timeout" {
-                    // Retryable by contract: back off like a queued poll.
+                    // Retryable by contract: back off and poll again.
                     t.phase = Phase::Idle;
                     let delay = t.jittered_poll(args.poll_ms);
                     timers.push(Reverse((Instant::now() + delay, i)));

@@ -1,14 +1,12 @@
 //! The ROBOTune BO engine: Bayesian optimisation over a selected subspace
 //! with median-multiple early stopping (paper §3.4 + §4).
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-
 use rand::rngs::StdRng;
 use robotune_bo::{BoEngine, BoOptions};
-use robotune_space::{SearchSpace, Subspace};
+use robotune_space::{Configuration, SearchSpace, Subspace};
 use robotune_tuners::{
-    evaluate_with_retry, Evaluation, Objective, RetryPolicy, ThresholdPolicy, TuningSession,
+    evaluate_with_retry, Evaluation, Fidelity, Objective, RetryPolicy, RetryState, ThresholdPolicy,
+    TuningSession,
 };
 
 /// Automated early stopping of the whole BO loop (paper §4 lists it among
@@ -47,12 +45,6 @@ pub struct RoboTuneEngineOptions {
     /// Retry policy for transiently failing evaluations (submit/launch
     /// hiccups under fault injection). Retries are budget-charged.
     pub retry: RetryPolicy,
-    /// Cooperative cancellation: when the flag flips to `true` the loop
-    /// stops before its next evaluation and returns the partial session.
-    /// `None` (the default) never cancels, so trajectories are untouched.
-    /// The tuning service sets one flag per hosted session so
-    /// `close_session`/shutdown can stop a pipeline without poisoning it.
-    pub cancel: Option<Arc<AtomicBool>>,
 }
 
 impl Default for RoboTuneEngineOptions {
@@ -65,7 +57,6 @@ impl Default for RoboTuneEngineOptions {
             },
             early_stop: None,
             retry: RetryPolicy::default(),
-            cancel: None,
         }
     }
 }
@@ -118,32 +109,28 @@ impl RoboTuneEngine {
         self.bo.refit(rng);
     }
 
-    /// Whether the cooperative cancel flag has flipped (see
-    /// [`RoboTuneEngineOptions::cancel`]).
-    fn cancelled(&self) -> bool {
-        let hit = self
-            .opts
-            .cancel
-            .as_ref()
-            .is_some_and(|c| c.load(Ordering::Relaxed));
-        if hit {
-            robotune_obs::incr("tune.cancelled", 1);
-        }
-        hit
+    /// The configuration and evaluation cap for `point` under the
+    /// current threshold — the first half of
+    /// [`RoboTuneEngine::evaluate_point`].
+    pub fn prepare(&self, point: &[f64]) -> (Configuration, f64) {
+        let cap = self.opts.threshold.cap(&self.completed_times);
+        (self.sub.decode(point), cap)
     }
 
-    /// Evaluates one subspace point under the current threshold and feeds
-    /// the result to the GP.
-    pub fn evaluate_point(&mut self, point: Vec<f64>, objective: &mut dyn Objective) -> Evaluation {
-        let _span = robotune_obs::span("tune.evaluate");
-        let cap = self.opts.threshold.cap(&self.completed_times);
-        let config = self.sub.decode(&point);
-        let eval = evaluate_with_retry(objective, &config, cap, &self.opts.retry);
+    /// Records the final (post-retry) evaluation of `point` and feeds it
+    /// to the GP — the second half of [`RoboTuneEngine::evaluate_point`].
+    pub fn record(
+        &mut self,
+        point: Vec<f64>,
+        config: Configuration,
+        cap_s: f64,
+        eval: Evaluation,
+        fidelity: Fidelity,
+    ) {
         if eval.completed {
             self.completed_times.push(eval.time_s);
         }
-        self.session
-            .push_at(point.clone(), config, eval, cap, objective.fidelity());
+        self.session.push_at(point.clone(), config, eval, cap_s, fidelity);
         // Completed runs feed the surrogate their measured time; killed and
         // failed runs become *censored* observations at the policy maximum
         // so failure regions stay unattractive without crashing the loop.
@@ -158,6 +145,15 @@ impl RoboTuneEngine {
             // rejected observation must never abort a session.
             robotune_obs::incr("tune.observation_dropped", 1);
         }
+    }
+
+    /// Evaluates one subspace point under the current threshold and feeds
+    /// the result to the GP.
+    pub fn evaluate_point(&mut self, point: Vec<f64>, objective: &mut dyn Objective) -> Evaluation {
+        let _span = robotune_obs::span("tune.evaluate");
+        let (config, cap) = self.prepare(&point);
+        let eval = evaluate_with_retry(objective, &config, cap, &self.opts.retry);
+        self.record(point, config, cap, eval, objective.fidelity());
         eval
     }
 
@@ -165,62 +161,102 @@ impl RoboTuneEngine {
     /// until `budget` evaluations have been spent (or early stopping
     /// fires, when enabled).
     pub fn run(
-        mut self,
+        self,
         objective: &mut dyn Objective,
         initial_design: Vec<Vec<f64>>,
         budget: usize,
         rng: &mut StdRng,
     ) -> TuningSession {
-        for point in initial_design.into_iter().take(budget) {
-            if self.cancelled() {
-                return self.session;
-            }
-            self.evaluate_point(point, objective);
+        let mut bo = BoLoop::new(self, initial_design, budget);
+        while let Some((config, cap_s)) = bo.ask(rng) {
+            bo.tell(objective.evaluate(&config, cap_s));
         }
-        let mut incumbent = self.session.best_time().unwrap_or(f64::INFINITY);
-        let mut stale = 0usize;
-        while self.session.len() < budget {
-            if self.cancelled() {
-                return self.session;
-            }
-            let point = self.bo.suggest(rng);
-            self.evaluate_point(point, objective);
-            if let Some(stop) = self.opts.early_stop {
-                let best = self.session.best_time().unwrap_or(f64::INFINITY);
-                if best < incumbent * (1.0 - stop.min_delta_frac) {
-                    incumbent = best;
-                    stale = 0;
-                } else {
-                    stale += 1;
-                    if stale >= stop.patience {
-                        robotune_obs::incr("tune.early_stop", 1);
-                        break;
-                    }
-                }
-            }
-        }
-        self.session
+        bo.into_session()
+    }
+}
+
+/// An evaluation handed out by [`BoLoop::ask`] and not yet settled.
+struct PendingEval {
+    point: Vec<f64>,
+    config: Configuration,
+    cap_s: f64,
+    retry: RetryState,
+}
+
+/// The BO loop as ask/tell: the initial design first, then one BO
+/// suggestion per ask, until `budget` evaluations are recorded or early
+/// stopping fires. A transient failure is asked again under the engine's
+/// [`RetryPolicy`]; every evaluation is recorded at full fidelity.
+pub struct BoLoop {
+    engine: RoboTuneEngine,
+    design: std::vec::IntoIter<Vec<f64>>,
+    budget: usize,
+    /// Incumbent and evaluations without improvement, set at the first
+    /// BO suggestion: every later evaluation is a suggestion.
+    stale: Option<(f64, usize)>,
+    pending: Option<PendingEval>,
+}
+
+impl BoLoop {
+    /// Starts the loop: `design` (truncated to `budget`) runs first.
+    pub fn new(engine: RoboTuneEngine, mut design: Vec<Vec<f64>>, budget: usize) -> Self {
+        design.truncate(budget);
+        BoLoop { engine, design: design.into_iter(), budget, stale: None, pending: None }
     }
 
-    /// Like [`RoboTuneEngine::run`] but hands the engine back for
-    /// posterior inspection (Fig. 9's response surfaces).
-    pub fn run_keep(
-        &mut self,
-        objective: &mut dyn Objective,
-        initial_design: Vec<Vec<f64>>,
-        budget: usize,
-        rng: &mut StdRng,
-    ) {
-        for point in initial_design.into_iter().take(budget) {
-            self.evaluate_point(point, objective);
+    /// The next configuration to run and its cap, or `None` once the
+    /// loop is done. Until it is told, the same ask is repeated; a BO
+    /// suggestion draws from `rng` only when a new point is needed.
+    pub fn ask(&mut self, rng: &mut StdRng) -> Option<(Configuration, f64)> {
+        if let Some(p) = &self.pending {
+            return Some((p.config.clone(), p.cap_s));
         }
-        while self.session.len() < budget {
-            let point = self.bo.suggest(rng);
-            self.evaluate_point(point, objective);
+        if self.engine.session.len() >= self.budget {
+            return None;
         }
-        // Leave the posterior consistent with every observation so callers
-        // can render response surfaces.
-        self.bo.refit(rng);
+        let point = self.design.next().unwrap_or_else(|| {
+            let best = self.engine.session.best_time().unwrap_or(f64::INFINITY);
+            self.stale.get_or_insert((best, 0));
+            self.engine.bo.suggest(rng)
+        });
+        let (config, cap_s) = self.engine.prepare(&point);
+        let retry = RetryState::new(self.engine.opts.retry);
+        self.pending = Some(PendingEval { point, config: config.clone(), cap_s, retry });
+        Some((config, cap_s))
+    }
+
+    /// Reports the outcome of the last ask. A retryable transient failure
+    /// leaves the ask outstanding; a tell with no ask outstanding is
+    /// ignored.
+    pub fn tell(&mut self, eval: Evaluation) {
+        let Some(eval) = self.pending.as_mut().and_then(|p| p.retry.attempt(eval)) else {
+            return;
+        };
+        let Some(p) = self.pending.take() else {
+            return;
+        };
+        self.engine.record(p.point, p.config, p.cap_s, eval, Fidelity::FULL);
+        let (Some(stop), Some((incumbent, stale))) = (self.engine.opts.early_stop, &mut self.stale)
+        else {
+            return;
+        };
+        let best = self.engine.session.best_time().unwrap_or(f64::INFINITY);
+        if best < *incumbent * (1.0 - stop.min_delta_frac) {
+            *incumbent = best;
+            *stale = 0;
+        } else {
+            *stale += 1;
+            if *stale >= stop.patience {
+                robotune_obs::incr("tune.early_stop", 1);
+                // Stopping early leaves the rest of the budget unspent.
+                self.budget = self.engine.session.len();
+            }
+        }
+    }
+
+    /// The recorded session.
+    pub fn into_session(self) -> TuningSession {
+        self.engine.session
     }
 }
 
@@ -309,7 +345,10 @@ mod tests {
         let mut rng = rng_from_seed(21);
         let init = robotune_sampling::lhs(8, 3, &mut rng);
         let mut opts = fast_opts();
-        opts.early_stop = Some(EarlyStop { patience: 5, min_delta_frac: 0.01 });
+        opts.early_stop = Some(EarlyStop {
+            patience: 5,
+            min_delta_frac: 0.01,
+        });
         let session = RoboTuneEngine::new(sub3(), opts).run(&mut obj, init, 60, &mut rng);
         assert_eq!(session.len(), 8 + 5, "design + patience evaluations");
     }
@@ -319,8 +358,7 @@ mod tests {
         let mut obj = FnObjective::new(|_: &Configuration| 42.0);
         let mut rng = rng_from_seed(22);
         let init = robotune_sampling::lhs(8, 3, &mut rng);
-        let session =
-            RoboTuneEngine::new(sub3(), fast_opts()).run(&mut obj, init, 20, &mut rng);
+        let session = RoboTuneEngine::new(sub3(), fast_opts()).run(&mut obj, init, 20, &mut rng);
         assert_eq!(session.len(), 20);
     }
 
@@ -336,52 +374,38 @@ mod tests {
         let mut rng = rng_from_seed(23);
         let init = robotune_sampling::lhs(5, 3, &mut rng);
         let mut opts = fast_opts();
-        opts.early_stop = Some(EarlyStop { patience: 3, min_delta_frac: 0.01 });
-        let session = RoboTuneEngine::new(sub3(), opts).run(&mut obj, init, 25, &mut rng);
-        assert_eq!(session.len(), 25, "monotone improvement must not stop early");
-    }
-
-    #[test]
-    fn cancel_flag_stops_the_loop_with_a_partial_session() {
-        let flag = Arc::new(AtomicBool::new(false));
-        let seen = std::cell::Cell::new(0usize);
-        let flag2 = Arc::clone(&flag);
-        let mut obj = FnObjective::new(move |_: &Configuration| {
-            seen.set(seen.get() + 1);
-            if seen.get() == 6 {
-                flag2.store(true, Ordering::Relaxed);
-            }
-            50.0
+        opts.early_stop = Some(EarlyStop {
+            patience: 3,
+            min_delta_frac: 0.01,
         });
-        let mut rng = rng_from_seed(31);
-        let init = robotune_sampling::lhs(4, 3, &mut rng);
-        let mut opts = fast_opts();
-        opts.cancel = Some(flag);
-        let session = RoboTuneEngine::new(sub3(), opts).run(&mut obj, init, 40, &mut rng);
-        // Flag flips during evaluation 6; the loop stops before the 7th.
-        assert_eq!(session.len(), 6, "cancelled run must stop at the next check");
+        let session = RoboTuneEngine::new(sub3(), opts).run(&mut obj, init, 25, &mut rng);
+        assert_eq!(
+            session.len(),
+            25,
+            "monotone improvement must not stop early"
+        );
     }
 
     #[test]
-    fn unset_cancel_flag_changes_nothing() {
-        let mut obj = FnObjective::new(bowl());
-        let mut rng = rng_from_seed(1);
-        let init = robotune_sampling::lhs(8, 3, &mut rng);
-        let mut opts = fast_opts();
-        opts.cancel = Some(Arc::new(AtomicBool::new(false)));
-        let session = RoboTuneEngine::new(sub3(), opts).run(&mut obj, init, 20, &mut rng);
-        assert_eq!(session.len(), 20);
-    }
-
-    #[test]
-    fn run_keep_exposes_posterior() {
-        let mut obj = FnObjective::new(bowl());
+    fn bo_loop_asks_transient_failures_again() {
         let mut rng = rng_from_seed(5);
         let init = robotune_sampling::lhs(8, 3, &mut rng);
-        let mut engine = RoboTuneEngine::new(sub3(), fast_opts());
-        engine.run_keep(&mut obj, init, 15, &mut rng);
-        assert_eq!(engine.session().len(), 15);
-        let (mu, var) = engine.bo().posterior(&[0.5, 0.5, 0.5]).expect("model fitted");
-        assert!(mu.is_finite() && var >= 0.0);
+        let mut bo = BoLoop::new(RoboTuneEngine::new(sub3(), fast_opts()), init, 15);
+        let mut f = bowl();
+        let mut asks = 0;
+        while let Some((config, _cap)) = bo.ask(&mut rng) {
+            asks += 1;
+            // Every third ask fails transiently once; the retry re-asks it.
+            let eval = if asks % 3 == 0 {
+                Evaluation::transient_failure(2.0)
+            } else {
+                Evaluation::completed(f(&config))
+            };
+            bo.tell(eval);
+        }
+        assert!(asks > 15, "transient failures must be asked again");
+        let session = bo.into_session();
+        assert_eq!(session.len(), 15);
+        assert!(session.records.iter().any(|r| r.eval.attempts > 1));
     }
 }

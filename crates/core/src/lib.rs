@@ -18,7 +18,9 @@
 //!    with a GP-Hedge portfolio of PI/EI/LCB acquisitions and
 //!    median-multiple early stopping of bad configurations.
 //!
-//! The top-level entry point is [`tuner::RoboTune`]:
+//! [`stepper::RoboTuneStepper`] runs the three as one resumable ask/tell
+//! state machine. The top-level entry point is [`tuner::RoboTune`], whose
+//! `tune_workload` drives a stepper against an objective:
 //!
 //! ```no_run
 //! use robotune::{RoboTune, RoboTuneOptions};
@@ -44,15 +46,17 @@ pub mod engine;
 pub mod memo;
 pub mod parser;
 pub mod select;
+pub mod stepper;
 pub mod tuner;
 
 pub use encoder::encode_to_conf;
-pub use parser::{parse_conf, ParseError};
-pub use engine::{RoboTuneEngine, RoboTuneEngineOptions};
+pub use engine::{BoLoop, RoboTuneEngine, RoboTuneEngineOptions};
 pub use memo::{
-    resolve_selection, shard_of, workload_fingerprint, ConcurrentMemoStore, ConfigMemoBuffer,
-    InMemoryMemoStore, LockedMemoStore, MemoStore, MemoizedSampler, ParameterSelectionCache,
-    ShardStatus, SharedMemoStore, StoreStatus,
+    memo_workloads, resolve_selection, shard_of, workload_fingerprint, ConcurrentMemoStore,
+    ConfigMemoBuffer, InMemoryMemoStore, MemoizedSampler, ParameterSelectionCache, ShardStatus,
+    SharedMemoStore, StoreStatus,
 };
+pub use parser::{parse_conf, ParseError};
 pub use select::{ParameterSelector, SelectionResult};
+pub use stepper::{RoboTuneStepper, Step};
 pub use tuner::{RoboTune, RoboTuneOptions, RoboTuneOutcome};

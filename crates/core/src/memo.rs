@@ -9,7 +9,7 @@
 //! and seeds the BO training set with its best recent configurations.
 
 use std::collections::HashMap;
-use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use rand::Rng;
 use robotune_space::{ConfigSpace, Configuration, SearchSpace, Subspace};
@@ -125,37 +125,9 @@ impl ParameterSelectionCache {
         Self::default()
     }
 
-    /// Looks up the selected parameter indices for `workload` within
-    /// `space`. A hit requires every cached name to still resolve.
-    pub fn get(&self, workload: &str, space: &ConfigSpace) -> Option<Vec<usize>> {
-        let resolved = self
-            .entries
-            .get(workload)
-            .and_then(|names| resolve_selection(names, space));
-        match resolved {
-            Some(out) => {
-                robotune_obs::incr("memo.hit", 1);
-                Some(out)
-            }
-            None => {
-                robotune_obs::incr("memo.miss", 1);
-                None
-            }
-        }
-    }
-
     /// The raw cached names for `workload`, unresolved.
     pub fn names(&self, workload: &str) -> Option<&[String]> {
         self.entries.get(workload).map(Vec::as_slice)
-    }
-
-    /// Stores a selection.
-    pub fn put(&mut self, workload: &str, space: &ConfigSpace, selected: &[usize]) {
-        let names = selected
-            .iter()
-            .map(|&i| space.params()[i].name.clone())
-            .collect();
-        self.put_names(workload, names);
     }
 
     /// Stores an already-resolved name list (the persistence replay path).
@@ -174,16 +146,6 @@ impl ParameterSelectionCache {
         let mut out: Vec<String> = self.entries.keys().cloned().collect();
         out.sort_unstable();
         out
-    }
-
-    /// Number of cached workloads.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 }
 
@@ -233,61 +195,28 @@ impl ConfigMemoBuffer {
     }
 }
 
-/// The paper's two memoization structures (§3.2) behind one storage
-/// interface, so a tuning session does not care whether its warm-start
-/// state lives in a private in-memory struct, a process-wide store shared
-/// by every served session, or a file-backed store that survives restarts.
-///
-/// Implementations must be cheap under read-heavy access: every session
-/// consults the store once per run, not per evaluation.
-pub trait MemoStore: Send + Sync {
-    /// The cached selected-parameter *names* for `workload`, if any.
-    fn selection(&self, workload: &str) -> Option<Vec<String>>;
-
-    /// Stores the selected-parameter names for `workload`.
-    fn put_selection(&mut self, workload: &str, names: Vec<String>);
-
-    /// Records a completed configuration and its runtime for `workload`.
-    fn record_config(&mut self, workload: &str, config: Configuration, time_s: f64);
-
-    /// The `n` best recent configurations for `workload`, best first.
-    fn best_recent(&self, workload: &str, n: usize) -> Vec<(Configuration, f64)>;
-
-    /// Whether a selection is cached for `workload`.
-    fn has_selection(&self, workload: &str) -> bool {
-        self.selection(workload).is_some()
-    }
-
-    /// Whether any configuration is memoized for `workload`.
-    fn has_configs(&self, workload: &str) -> bool {
-        !self.best_recent(workload, 1).is_empty()
-    }
-
-    /// Every workload key present in either structure, sorted.
-    fn workloads(&self) -> Vec<String>;
-
-    /// Flushes durable state (snapshot + WAL truncation for file-backed
-    /// stores). The in-memory store has nothing to do.
-    fn checkpoint(&mut self) -> Result<(), String> {
-        Ok(())
-    }
-
-    /// Mutations applied since the last successful checkpoint — the
-    /// write-ahead-log "lag" a crash would have to replay. Always 0 for
-    /// stores with no durable log.
-    fn wal_lag(&self) -> u64 {
-        0
-    }
+/// Every workload key present in either memoization structure, sorted.
+pub fn memo_workloads(cache: &ParameterSelectionCache, memo: &ConfigMemoBuffer) -> Vec<String> {
+    let mut out = cache.workloads();
+    out.extend(memo.workloads());
+    out.sort_unstable();
+    out.dedup();
+    out
 }
 
-/// A memo store safe to share across sessions without an external lock.
+/// The paper's two memoization structures (§3.2) behind one storage
+/// interface, so a tuning session does not care whether its warm-start
+/// state lives in a private in-memory store, a process-wide store shared
+/// by every served session, or a file-backed store that survives
+/// restarts.
 ///
-/// This is the concurrent face of [`MemoStore`]: every method takes
-/// `&self`, so implementations own their synchronization internally. A
-/// single-lock store wraps a [`MemoStore`] in one `RwLock`
-/// ([`LockedMemoStore`]); a sharded store stripes workloads across
-/// independent locks (see [`shard_of`]) so sessions tuning different
-/// workloads never contend.
+/// Every method takes `&self`: implementations own their
+/// synchronization, so one store is shared across sessions without an
+/// external lock. [`InMemoryMemoStore`] holds each structure behind its
+/// own lock; a sharded store stripes workloads across independent locks
+/// (see [`shard_of`]) so sessions tuning different workloads never
+/// contend. Implementations must be cheap under read-heavy access:
+/// every session consults the store once per run, not per evaluation.
 pub trait ConcurrentMemoStore: Send + Sync {
     /// The cached selected-parameter *names* for `workload`, if any.
     fn selection(&self, workload: &str) -> Option<Vec<String>>;
@@ -337,86 +266,26 @@ pub trait ConcurrentMemoStore: Send + Sync {
 /// service, across tenants).
 pub type SharedMemoStore = Arc<dyn ConcurrentMemoStore>;
 
-/// Adapts any single-threaded [`MemoStore`] into a
-/// [`ConcurrentMemoStore`] behind one process-wide `RwLock`.
+/// The default process-local store: a [`ParameterSelectionCache`] plus a
+/// [`ConfigMemoBuffer`], each behind its own lock, no persistence.
 ///
 /// Lock poisoning is deliberately ignored (`PoisonError::into_inner`):
 /// the store holds plain data, so a panic in some other session while
-/// it held the lock cannot leave the caches in a torn state worth
+/// it held a lock cannot leave the caches in a torn state worth
 /// refusing reads over — losing fleet memory to an unrelated panic
 /// would be the worse failure mode.
 #[derive(Debug, Default)]
-pub struct LockedMemoStore<S> {
-    inner: RwLock<S>,
-}
-
-impl<S: MemoStore> LockedMemoStore<S> {
-    /// Wraps `inner` behind a single lock.
-    pub fn new(inner: S) -> Self {
-        LockedMemoStore {
-            inner: RwLock::new(inner),
-        }
-    }
-
-    fn read(&self) -> RwLockReadGuard<'_, S> {
-        self.inner
-            .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    fn write(&self) -> RwLockWriteGuard<'_, S> {
-        self.inner
-            .write()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-}
-
-impl<S: MemoStore> ConcurrentMemoStore for LockedMemoStore<S> {
-    fn selection(&self, workload: &str) -> Option<Vec<String>> {
-        self.read().selection(workload)
-    }
-
-    fn put_selection(&self, workload: &str, names: Vec<String>) {
-        self.write().put_selection(workload, names);
-    }
-
-    fn record_config(&self, workload: &str, config: Configuration, time_s: f64) {
-        self.write().record_config(workload, config, time_s);
-    }
-
-    fn best_recent(&self, workload: &str, n: usize) -> Vec<(Configuration, f64)> {
-        self.read().best_recent(workload, n)
-    }
-
-    fn has_selection(&self, workload: &str) -> bool {
-        self.read().has_selection(workload)
-    }
-
-    fn has_configs(&self, workload: &str) -> bool {
-        self.read().has_configs(workload)
-    }
-
-    fn workloads(&self) -> Vec<String> {
-        self.read().workloads()
-    }
-
-    fn checkpoint(&self) -> Result<(), String> {
-        self.write().checkpoint()
-    }
-
-    fn wal_lag(&self) -> u64 {
-        self.read().wal_lag()
-    }
-}
-
-/// The default process-local store: a [`ParameterSelectionCache`] plus a
-/// [`ConfigMemoBuffer`], no persistence.
-#[derive(Debug, Clone, Default)]
 pub struct InMemoryMemoStore {
-    /// The parameter-selection cache.
-    pub cache: ParameterSelectionCache,
-    /// The configuration-memoization buffer.
-    pub memo: ConfigMemoBuffer,
+    cache: RwLock<ParameterSelectionCache>,
+    memo: RwLock<ConfigMemoBuffer>,
+}
+
+fn read<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+    lock.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn write<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+    lock.write().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl InMemoryMemoStore {
@@ -427,41 +296,29 @@ impl InMemoryMemoStore {
 
     /// Wraps the store for sharing across sessions.
     pub fn into_shared(self) -> SharedMemoStore {
-        Arc::new(LockedMemoStore::new(self))
+        Arc::new(self)
     }
 }
 
-impl MemoStore for InMemoryMemoStore {
+impl ConcurrentMemoStore for InMemoryMemoStore {
     fn selection(&self, workload: &str) -> Option<Vec<String>> {
-        self.cache.names(workload).map(<[String]>::to_vec)
+        read(&self.cache).names(workload).map(<[String]>::to_vec)
     }
 
-    fn put_selection(&mut self, workload: &str, names: Vec<String>) {
-        self.cache.put_names(workload, names);
+    fn put_selection(&self, workload: &str, names: Vec<String>) {
+        write(&self.cache).put_names(workload, names);
     }
 
-    fn record_config(&mut self, workload: &str, config: Configuration, time_s: f64) {
-        self.memo.record(workload, config, time_s);
+    fn record_config(&self, workload: &str, config: Configuration, time_s: f64) {
+        write(&self.memo).record(workload, config, time_s);
     }
 
     fn best_recent(&self, workload: &str, n: usize) -> Vec<(Configuration, f64)> {
-        self.memo.best_recent(workload, n)
-    }
-
-    fn has_selection(&self, workload: &str) -> bool {
-        self.cache.contains(workload)
-    }
-
-    fn has_configs(&self, workload: &str) -> bool {
-        self.memo.contains(workload)
+        read(&self.memo).best_recent(workload, n)
     }
 
     fn workloads(&self) -> Vec<String> {
-        let mut out = self.cache.workloads();
-        out.extend(self.memo.workloads());
-        out.sort_unstable();
-        out.dedup();
-        out
+        memo_workloads(&read(&self.cache), &read(&self.memo))
     }
 }
 
@@ -496,8 +353,8 @@ impl Default for MemoizedSampler {
 impl MemoizedSampler {
     /// Builds the initial design over `sub`, blending in `recent` — the
     /// workload's best memoized configurations (best first, at most
-    /// [`MemoizedSampler::memo_configs`]; ask a [`MemoStore`] via
-    /// [`MemoStore::best_recent`]).
+    /// [`MemoizedSampler::memo_configs`]; ask a [`ConcurrentMemoStore`]
+    /// via [`ConcurrentMemoStore::best_recent`]).
     pub fn initial_design<R: Rng + ?Sized>(
         &self,
         sub: &Subspace,
@@ -537,14 +394,13 @@ mod tests {
 
     #[test]
     fn selection_cache_round_trips_by_name() {
-        let s = space();
         let mut cache = ParameterSelectionCache::new();
-        assert!(cache.get("pr", &s).is_none());
-        let sel = vec![0usize, 1, 7];
-        cache.put("pr", &s, &sel);
+        assert!(cache.names("pr").is_none());
+        let names = vec![names::EXECUTOR_CORES.to_string()];
+        cache.put_names("pr", names.clone());
         assert!(cache.contains("pr"));
-        assert_eq!(cache.get("pr", &s), Some(sel));
-        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.names("pr"), Some(&names[..]));
+        assert_eq!(cache.workloads(), vec!["pr".to_string()]);
     }
 
     #[test]
@@ -640,7 +496,7 @@ mod tests {
     #[test]
     fn in_memory_store_round_trips_both_structures() {
         let s = space();
-        let mut store = InMemoryMemoStore::new();
+        let store = InMemoryMemoStore::new();
         assert!(store.selection("pr").is_none());
         assert!(!store.has_selection("pr"));
         store.put_selection("pr", vec!["spark.executor.cores".into()]);
@@ -654,7 +510,10 @@ mod tests {
         assert!(store.has_configs("pr"));
         assert_eq!(store.best_recent("pr", 4).len(), 1);
         assert_eq!(store.workloads(), vec!["km".to_string(), "pr".to_string()]);
-        assert!(store.checkpoint().is_ok(), "in-memory checkpoint is a no-op");
+        assert!(
+            store.checkpoint().is_ok(),
+            "in-memory checkpoint is a no-op"
+        );
     }
 
     #[test]
@@ -664,14 +523,6 @@ mod tests {
         assert!(resolve_selection(&good, &s).is_some());
         let stale = vec![names::EXECUTOR_CORES.to_string(), "gone.param".to_string()];
         assert!(resolve_selection(&stale, &s).is_none());
-    }
-
-    #[test]
-    fn cache_miss_on_unknown_name() {
-        let s = space();
-        let mut cache = ParameterSelectionCache::new();
-        cache.entries.insert("w".into(), vec!["no.such.param".into()]);
-        assert!(cache.get("w", &s).is_none());
     }
 
     #[test]
@@ -702,7 +553,7 @@ mod tests {
     }
 
     #[test]
-    fn locked_store_delegates_and_reports_default_status() {
+    fn shared_in_memory_store_round_trips_and_reports_default_status() {
         let s = space();
         let shared: SharedMemoStore = InMemoryMemoStore::new().into_shared();
         assert!(!shared.has_selection("pr"));

@@ -66,6 +66,20 @@ pub struct SelectionResult {
 }
 
 impl SelectionResult {
+    /// The parameters to tune: the selected set, or — on a degenerate
+    /// surface where nothing clears the threshold — the members of the
+    /// top three importance groups, so BO still has something to tune.
+    pub fn tuned_parameters(&self) -> Vec<usize> {
+        if !self.selected.is_empty() {
+            return self.selected.clone();
+        }
+        let mut sel: Vec<usize> =
+            self.importances.iter().take(3).flat_map(|g| g.members.iter().copied()).collect();
+        sel.sort_unstable();
+        sel.dedup();
+        sel
+    }
+
     /// Names of the selected parameters, in index order.
     pub fn selected_names(&self, space: &ConfigSpace) -> Vec<String> {
         self.selected
@@ -92,6 +106,17 @@ impl ParameterSelector {
         &self.opts
     }
 
+    /// Draws the `generic_samples` LHS points over the full `space` that
+    /// a selection run evaluates.
+    pub fn sample_points(&self, space: &ConfigSpace, rng: &mut StdRng) -> Vec<Vec<f64>> {
+        robotune_sampling::lhs_maximin(
+            self.opts.generic_samples,
+            space.dim(),
+            rng,
+            robotune_sampling::lhs::DEFAULT_MAXIMIN_CANDIDATES,
+        )
+    }
+
     /// Collects `generic_samples` LHS executions of `objective` over the
     /// full `space` and returns `(points, runtimes, cost)`. Failed/capped
     /// runs are recorded at their penalty value so the forest learns the
@@ -102,12 +127,7 @@ impl ParameterSelector {
         objective: &mut dyn Objective,
         rng: &mut StdRng,
     ) -> (Vec<Vec<f64>>, Vec<f64>, f64) {
-        let points = robotune_sampling::lhs_maximin(
-            self.opts.generic_samples,
-            space.dim(),
-            rng,
-            robotune_sampling::lhs::DEFAULT_MAXIMIN_CANDIDATES,
-        );
+        let points = self.sample_points(space, rng);
         let mut ys = Vec::with_capacity(points.len());
         let mut cost = 0.0;
         for p in &points {

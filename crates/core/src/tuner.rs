@@ -6,9 +6,10 @@ use rand::rngs::StdRng;
 use robotune_space::ConfigSpace;
 use robotune_tuners::{Objective, Tuner, TuningSession};
 
-use crate::engine::{RoboTuneEngine, RoboTuneEngineOptions};
-use crate::memo::{resolve_selection, InMemoryMemoStore, MemoizedSampler, SharedMemoStore};
-use crate::select::{ParameterSelector, SelectionResult, SelectorOptions};
+use crate::engine::RoboTuneEngineOptions;
+use crate::memo::{InMemoryMemoStore, MemoizedSampler, SharedMemoStore};
+use crate::select::{SelectionResult, SelectorOptions};
+use crate::stepper::{RoboTuneStepper, Step};
 
 /// Framework-level options.
 #[derive(Debug, Clone, Default)]
@@ -60,9 +61,9 @@ pub struct RoboTuneOutcome {
 /// configuration-memoization buffer — the §5.4 speedup. Both structures
 /// live in a [`SharedMemoStore`]: a fresh private in-memory store by
 /// default ([`RoboTune::new`]), or one shared with other framework
-/// instances — possibly file-backed — via [`RoboTune::with_store`], which
-/// is how the tuning service lets one tenant's tuned workload warm
-/// another's.
+/// instances — possibly file-backed — via [`RoboTune::with_store`]. The
+/// tuning service shares one store across its sessions' steppers, so one
+/// tenant's tuned workload warms another's.
 pub struct RoboTune {
     opts: RoboTuneOptions,
     store: SharedMemoStore,
@@ -98,12 +99,6 @@ impl RoboTune {
         self.store.has_selection(workload)
     }
 
-    /// Whether any configuration is memoized for `workload`
-    /// (inspection/testing).
-    pub fn knows_configs(&self, workload: &str) -> bool {
-        self.store.has_configs(workload)
-    }
-
     /// Sets the workload key used by [`Tuner::tune`].
     pub fn set_workload_key(&mut self, key: impl Into<String>) {
         self.trait_key = key.into();
@@ -114,7 +109,9 @@ impl RoboTune {
     /// Cache miss: evaluate 100 generic LHS samples, select parameters by
     /// grouped MDA, store in the cache. Cache hit: reuse the selection and
     /// blend 4 memoized configurations into the 20-point initial design.
-    /// Either way the BO engine then spends the remaining budget.
+    /// Either way the BO engine then spends the remaining budget. This is
+    /// a loop over [`RoboTuneStepper`], which draws from (and leaves behind)
+    /// the caller's `rng` state.
     pub fn tune_workload(
         &mut self,
         space: &Arc<ConfigSpace>,
@@ -124,97 +121,22 @@ impl RoboTune {
         rng: &mut StdRng,
     ) -> RoboTuneOutcome {
         let _span = robotune_obs::span("tune.workload");
-        // A cooperatively-cancelled run (service shutdown / session close)
-        // must not write its aborted, partially-evaluated results into the
-        // shared store: other tenants would inherit a garbage selection.
-        let cancel = self.opts.engine.cancel.clone();
-        let cancelled =
-            || cancel.as_ref().is_some_and(|c| c.load(std::sync::atomic::Ordering::Relaxed));
-        // --- Parameter selection (cached) -----------------------------------
-        let cached = self
-            .store
-            .selection(workload)
-            .and_then(|names| resolve_selection(&names, space));
-        match cached {
-            Some(_) => robotune_obs::incr("memo.hit", 1),
-            None => robotune_obs::incr("memo.miss", 1),
-        }
-        let (selected, selection, selection_cost_s) = match cached {
-            Some(sel) => (sel, None, 0.0),
-            None => {
-                let selector = ParameterSelector::new(self.opts.selector.clone());
-                let result = selector.select(space, objective, rng);
-                let mut sel = result.selected.clone();
-                if sel.is_empty() {
-                    // Degenerate surface (nothing clears the threshold):
-                    // fall back to the top three importance groups so BO
-                    // still has something to tune.
-                    sel = result
-                        .importances
-                        .iter()
-                        .take(3)
-                        .flat_map(|g| g.members.iter().copied())
-                        .collect();
-                    sel.sort_unstable();
-                    sel.dedup();
+        let mut stepper = RoboTuneStepper::new(
+            self.opts.clone(),
+            Arc::clone(&self.store),
+            Arc::clone(space),
+            workload,
+            budget,
+            rng.clone(),
+        );
+        loop {
+            match stepper.ask() {
+                Step::Ask { config, cap_s } => stepper.tell(objective.evaluate(&config, cap_s)),
+                Step::Done(outcome) => {
+                    *rng = stepper.into_rng();
+                    return outcome;
                 }
-                let names = sel
-                    .iter()
-                    .map(|&i| space.params()[i].name.clone())
-                    .collect();
-                if !cancelled() {
-                    self.store.put_selection(workload, names);
-                }
-                let cost = result.sampling_cost_s;
-                (sel, Some(result), cost)
             }
-        };
-
-        // --- Memoized sampling ------------------------------------------------
-        let sub = space.subspace(&selected, space.default_configuration());
-        robotune_obs::record("select.subspace_size", selected.len() as f64);
-        let mut recent = self
-            .store
-            .best_recent(workload, self.opts.sampler.memo_configs);
-        // A persistent store reloaded against a revised space could hold
-        // configurations of the wrong width; drop them instead of letting
-        // `Subspace::encode` assert deep inside the sampler.
-        recent.retain(|(c, _)| c.len() == space.len());
-        let design = self.opts.sampler.initial_design(&sub, &recent, rng);
-        let warm_start = design.memoized > 0;
-        robotune_obs::mark("tune.initial_design", || {
-            serde_json::json!({
-                "workload": workload,
-                "points": design.points.len(),
-                "memoized": design.memoized,
-                "subspace_dim": robotune_space::SearchSpace::dim(&sub),
-            })
-        });
-
-        // --- BO engine -----------------------------------------------------------
-        let engine = RoboTuneEngine::new(sub, self.opts.engine.clone());
-        let session = engine.run(objective, design.points, budget, rng);
-
-        // --- Memoize the best configurations for the next dataset -----------------
-        let mut completed: Vec<_> = session
-            .records
-            .iter()
-            .filter(|r| r.eval.completed)
-            .collect();
-        completed.sort_by(|a, b| a.eval.time_s.total_cmp(&b.eval.time_s));
-        if !cancelled() {
-            for r in completed.into_iter().take(self.opts.sampler.memo_configs) {
-                self.store
-                    .record_config(workload, r.config.clone(), r.eval.time_s);
-            }
-        }
-
-        RoboTuneOutcome {
-            session,
-            selection,
-            selected,
-            warm_start,
-            selection_cost_s,
         }
     }
 }
@@ -257,7 +179,8 @@ mod tests {
             let cores_v = c.get(cores).as_int() as f64;
             let mem_v = c.get(mem).as_int() as f64;
             let par_v = c.get(par).as_int() as f64;
-            60.0 + 300.0 / cores_v + 60.0 * (mem_v / 49_152.0 - 1.0).abs()
+            60.0 + 300.0 / cores_v
+                + 60.0 * (mem_v / 49_152.0 - 1.0).abs()
                 + 0.05 * (par_v - 400.0).abs()
         }
     }
@@ -274,8 +197,8 @@ mod tests {
         assert!(!cold.warm_start);
         assert!(cold.selection_cost_s > 0.0);
         assert_eq!(cold.session.len(), 40);
-        assert!(tuner.knows_selection("syn"));
-        assert!(tuner.knows_configs("syn"));
+        assert!(tuner.store().has_selection("syn"));
+        assert!(tuner.store().has_configs("syn"));
 
         let mut obj2 = FnObjective::new(synthetic());
         let warm = tuner.tune_workload(&space, "syn", &mut obj2, 40, &mut rng);
@@ -312,11 +235,10 @@ mod tests {
         tuner.set_workload_key("trait-run");
         let mut obj = FnObjective::new(synthetic());
         let mut rng = rng_from_seed(3);
-        let session =
-            Tuner::tune(&mut tuner, &space, &mut obj, 25, &mut rng);
+        let session = Tuner::tune(&mut tuner, &space, &mut obj, 25, &mut rng);
         assert_eq!(session.len(), 25);
         assert_eq!(session.tuner, "ROBOTune");
-        assert!(tuner.knows_selection("trait-run"));
+        assert!(tuner.store().has_selection("trait-run"));
     }
 
     #[test]
@@ -334,8 +256,14 @@ mod tests {
         let mut second = RoboTune::with_store(RoboTuneOptions::fast(), store);
         let mut obj2 = FnObjective::new(synthetic());
         let warm = second.tune_workload(&space, "shared", &mut obj2, 30, &mut rng);
-        assert!(warm.selection.is_none(), "selection must come from the shared store");
-        assert!(warm.warm_start, "memoized configs must come from the shared store");
+        assert!(
+            warm.selection.is_none(),
+            "selection must come from the shared store"
+        );
+        assert!(
+            warm.warm_start,
+            "memoized configs must come from the shared store"
+        );
     }
 
     #[test]

@@ -82,7 +82,7 @@ pub use scope::{Scope, ScopeGuard, ScopeLabels};
 pub use sink::{EventSink, JsonlSink, NullSink, RingBufferSink, TeeSink};
 pub use slo::RollingWindow;
 pub use trace::{render_chrome_trace, render_self_time, self_times, ChromeTraceSink, SelfTime};
-pub use tracectx::{adopt, set_ambient, AdoptGuard, TraceCtx};
+pub use tracectx::{adopt, AdoptGuard, TraceCtx};
 
 use std::path::Path;
 use std::sync::Arc;

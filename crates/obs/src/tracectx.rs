@@ -4,14 +4,13 @@
 //! Span parentage in [`crate::registry`] is thread-local — an RAII
 //! guard stack. That is exactly right for nesting on one thread and
 //! exactly wrong for the service pipeline, where one request hops from
-//! the reactor thread to a dispatch worker to a session worker to GP
+//! the reactor thread to a dispatch worker to a compute worker to GP
 //! scoped threads. A [`TraceCtx`] is the explicit baton for those hops:
 //! a `Copy` pair of (trace id, parent span id) minted once per request
 //! and handed across thread boundaries by value.
 //!
-//! On the receiving thread the context is *adopted* — either scoped
-//! ([`adopt`], RAII) or ambient ([`set_ambient`], for worker loops
-//! whose continuation outlives any lexical scope). The registry then
+//! On the receiving thread the context is *adopted* for a bounded unit
+//! of work ([`adopt`], RAII). The registry then
 //! tags every new span with the trace id, and when a span starts on a
 //! thread whose local span stack does not already belong to that trace
 //! it records the context's parent as its causal `link`. Links render
@@ -97,14 +96,6 @@ pub fn adopt(ctx: TraceCtx) -> AdoptGuard {
     AdoptGuard { prev, _not_send: PhantomData }
 }
 
-/// Replaces this thread's ambient trace context with no restore point.
-/// For long-lived worker loops whose "current request" changes at a
-/// channel receive rather than at a lexical boundary; pass
-/// [`TraceCtx::NONE`] to clear.
-pub fn set_ambient(ctx: TraceCtx) {
-    AMBIENT.with(|c| c.set(ctx));
-}
-
 /// RAII guard from [`adopt`]: restores the previous ambient context on
 /// drop. Deliberately `!Send` — it must drop on the adopting thread.
 #[derive(Debug)]
@@ -137,15 +128,6 @@ mod tests {
             }
             assert_eq!(ambient(), a);
         }
-        assert_eq!(ambient(), TraceCtx::NONE);
-    }
-
-    #[test]
-    fn set_ambient_is_sticky() {
-        let a = TraceCtx { trace: 9, parent: 1 };
-        set_ambient(a);
-        assert_eq!(ambient(), a);
-        set_ambient(TraceCtx::NONE);
         assert_eq!(ambient(), TraceCtx::NONE);
     }
 

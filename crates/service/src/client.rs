@@ -45,7 +45,9 @@ impl From<std::io::Error> for ClientError {
 /// One `suggest` answer.
 #[derive(Debug, Clone)]
 pub enum Suggestion {
-    /// The session is still waiting for a worker.
+    /// A `queued` answer, which daemons that bound each session to a
+    /// worker thread gave while the session waited for one. This daemon
+    /// never sends it: a session is live from creation.
     Queued,
     /// Run this configuration and observe the result.
     Config {
@@ -295,8 +297,9 @@ pub struct DriveReport {
 /// Creates a session and drives it to completion against a local
 /// objective: suggest → evaluate → observe until `finished`.
 ///
-/// `queued` backoff is a short sleep; a `timeout` error retries the
-/// suggest. Any other protocol error aborts the drive.
+/// A `timeout` error retries the suggest (as does an older daemon's
+/// `queued`, after a short sleep). Any other protocol error aborts the
+/// drive.
 pub fn drive_session(
     client: &mut TuningClient,
     space: &ConfigSpace,

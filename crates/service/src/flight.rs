@@ -39,7 +39,7 @@
 
 use crate::protocol::config_to_wire;
 use crate::session::{ServedSession, TrajectoryEntry};
-use serde_json::{Map, Value};
+use serde_json::{json, Map, Value};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
@@ -89,30 +89,29 @@ impl FlightRecorder {
     }
 
     fn render_lines(&self, session: &ServedSession, reason: &str) -> Vec<Value> {
-        let mut lines = Vec::new();
-
-        let mut header = Map::new();
-        header.insert("kind".into(), Value::from("flight"));
-        header.insert("version".into(), Value::from(FLIGHT_FORMAT_VERSION));
-        header.insert("session".into(), Value::from(session.id.as_str()));
-        header.insert("reason".into(), Value::from(reason));
-        header.insert("state".into(), Value::from(session.state().as_str()));
-        header.insert("workload".into(), Value::from(session.spec.workload.as_str()));
-        header.insert("seed".into(), Value::from(session.spec.seed));
-        header.insert("budget".into(), Value::from(session.spec.budget as u64));
-        header.insert("profile".into(), Value::from(session.spec.profile.as_str()));
-        lines.push(Value::Object(header));
-
         let stats = session.stats();
-        let mut s = Map::new();
-        s.insert("kind".into(), Value::from("stats"));
-        s.insert("asked".into(), Value::from(stats.asked));
-        s.insert("observed".into(), Value::from(stats.observed));
-        s.insert("completed".into(), Value::from(stats.completed));
-        s.insert("failed".into(), Value::from(stats.failed));
-        s.insert("capped".into(), Value::from(stats.capped));
-        s.insert("best_time_s".into(), stats.best_time_s.map_or(Value::Null, Value::from));
-        lines.push(Value::Object(s));
+        let mut lines = vec![
+            json!({
+                "kind": "flight",
+                "version": FLIGHT_FORMAT_VERSION,
+                "session": session.id.as_str(),
+                "reason": reason,
+                "state": session.state().as_str(),
+                "workload": session.spec.workload.as_str(),
+                "seed": session.spec.seed,
+                "budget": session.spec.budget as u64,
+                "profile": session.spec.profile.as_str(),
+            }),
+            json!({
+                "kind": "stats",
+                "asked": stats.asked,
+                "observed": stats.observed,
+                "completed": stats.completed,
+                "failed": stats.failed,
+                "capped": stats.capped,
+                "best_time_s": stats.best_time_s,
+            }),
+        ];
 
         // The scope's counters carry the fault/retry story for this
         // session (retry.attempt, retry.exhausted, bo.censored_observation,
@@ -128,16 +127,12 @@ impl FlightRecorder {
                 fault_total += *total;
             }
         }
-        let mut c = Map::new();
-        c.insert("kind".into(), Value::from("counters"));
-        c.insert("counters".into(), Value::Object(counters));
-        lines.push(Value::Object(c));
-
-        let mut fc = Map::new();
-        fc.insert("kind".into(), Value::from("fault_counters"));
-        fc.insert("counters".into(), Value::Object(fault_counters));
-        fc.insert("total".into(), Value::from(fault_total));
-        lines.push(Value::Object(fc));
+        lines.push(json!({"kind": "counters", "counters": counters}));
+        lines.push(json!({
+            "kind": "fault_counters",
+            "counters": fault_counters,
+            "total": fault_total,
+        }));
 
         // Tuner-health samples get their own lines (in addition to the
         // raw `event` lines below) so a post-mortem reader — and
@@ -145,49 +140,33 @@ impl FlightRecorder {
         // filtering the full event stream.
         for event in session.scope().recent_events() {
             if let robotune_obs::EventData::Diag { name, iter, data } = event.data {
-                let mut m = Map::new();
-                m.insert("kind".into(), Value::from("diag"));
-                m.insert("name".into(), Value::from(name));
-                m.insert("iter".into(), Value::from(iter));
-                m.insert("data".into(), data);
-                lines.push(Value::Object(m));
+                lines.push(json!({"kind": "diag", "name": name, "iter": iter, "data": data}));
             }
         }
 
         let (trajectory, trajectory_dropped) = session.trajectory();
-        for entry in &trajectory {
-            lines.push(match entry {
-                TrajectoryEntry::Ask { index, cap_s, config } => {
-                    let mut m = Map::new();
-                    m.insert("kind".into(), Value::from("ask"));
-                    m.insert("index".into(), Value::from(*index));
-                    m.insert("cap_s".into(), Value::from(*cap_s));
-                    m.insert("config".into(), config_to_wire(session.space(), config));
-                    Value::Object(m)
-                }
-                TrajectoryEntry::Tell { index, time_s, status } => {
-                    let mut m = Map::new();
-                    m.insert("kind".into(), Value::from("tell"));
-                    m.insert("index".into(), Value::from(*index));
-                    m.insert("time_s".into(), Value::from(*time_s));
-                    m.insert("status".into(), Value::from(status.as_str()));
-                    Value::Object(m)
-                }
-            });
-        }
-
+        lines.extend(trajectory.iter().map(|entry| match entry {
+            TrajectoryEntry::Ask(ask) => json!({
+                "kind": "ask",
+                "index": ask.index,
+                "cap_s": ask.cap_s,
+                "config": config_to_wire(session.space(), &ask.config),
+            }),
+            TrajectoryEntry::Tell { index, time_s, status } => json!({
+                "kind": "tell",
+                "index": *index,
+                "time_s": *time_s,
+                "status": status.as_str(),
+            }),
+        }));
         for event in session.scope().recent_events() {
-            let mut m = Map::new();
-            m.insert("kind".into(), Value::from("event"));
-            m.insert("event".into(), event.to_json());
-            lines.push(Value::Object(m));
+            lines.push(json!({"kind": "event", "event": event.to_json()}));
         }
-
-        let mut footer = Map::new();
-        footer.insert("kind".into(), Value::from("recorder"));
-        footer.insert("events_dropped".into(), Value::from(session.scope().dropped_events()));
-        footer.insert("trajectory_dropped".into(), Value::from(trajectory_dropped));
-        lines.push(Value::Object(footer));
+        lines.push(json!({
+            "kind": "recorder",
+            "events_dropped": session.scope().dropped_events(),
+            "trajectory_dropped": trajectory_dropped,
+        }));
         lines
     }
 }

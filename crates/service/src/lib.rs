@@ -1,15 +1,13 @@
 //! `robotune-service`: a long-running, multi-tenant ask/tell tuning
 //! daemon over the ROBOTune pipeline.
 //!
-//! The library crates drive an [`Objective`](robotune_tuners::Objective)
-//! *push*-style: the tuner calls `evaluate` and blocks until a
-//! measurement comes back. A service has the opposite shape — clients
-//! *pull* a suggestion, run it on their cluster, and report the result
-//! whenever it lands. This crate inverts control without forking the
-//! pipeline: each session runs the unmodified
-//! [`RoboTune`](robotune::RoboTune) stack on a worker thread against a
-//! channel-backed objective ([`session`]), so a served trajectory is
-//! **bit-identical** to an in-process run at the same seed.
+//! Clients *pull* a suggestion, run it on their cluster, and report the
+//! result whenever it lands. The pipeline already has that shape: a
+//! [`RoboTuneStepper`](robotune::RoboTuneStepper) answers asks and takes
+//! tells, and [`RoboTune::tune_workload`](robotune::RoboTune::tune_workload)
+//! is a loop over one. Each session holds a stepper as plain data
+//! ([`session`]), so a served trajectory is **bit-identical** to an
+//! in-process run at the same seed by construction.
 //!
 //! Pieces:
 //!
@@ -19,10 +17,10 @@
 //!   store, sharded by workload fingerprint, each shard with its own
 //!   lock, snapshot, and checksummed segmented WAL with compaction and
 //!   crash recovery;
-//! - [`session`] — one served tuning session (ask/tell channel bridge,
-//!   lifecycle, per-session accounting);
-//! - [`manager`] — [`SessionManager`]: the bounded worker pool, the
-//!   admission queue with backpressure, and request dispatch;
+//! - [`session`] — one served tuning session (the stepper, the ask/tell
+//!   bookkeeping, lifecycle, per-session accounting);
+//! - [`manager`] — [`SessionManager`]: admission with backpressure, the
+//!   compute pool that steps sessions, and request dispatch;
 //! - [`diagnose`] — the tuner-health view behind the `diagnose` verb:
 //!   `diag.*` series (GP conditioning, acquisition/hedge state, regret,
 //!   rung outcomes) extracted from the session's scope ring under a
@@ -42,11 +40,11 @@
 //!   by the bench load generator and the integration tests.
 //!
 //! Live introspection: every session owns a telemetry
-//! [`Scope`](robotune_obs::Scope), entered by the worker running its
+//! [`Scope`](robotune_obs::Scope), entered by the worker stepping its
 //! pipeline *and* by connection threads serving its requests, so the
 //! `metrics` verb can answer per-session counters/histograms (JSON or
 //! Prometheus text) and `health` reports rolling suggest/observe SLO
-//! percentiles, worker/queue pressure, and store WAL lag.
+//! percentiles, compute pressure, and store WAL lag.
 //!
 //! Everything is `std`-only: the TCP layer is `std::net`, JSON is the
 //! workspace's `serde_json` stand-in, threads are `std::thread::scope`.

@@ -1,19 +1,24 @@
-//! The session manager: admission, the bounded worker pool, request
-//! dispatch, and graceful shutdown.
+//! The session manager: admission, the compute pool, request dispatch,
+//! and graceful shutdown.
 //!
-//! Concurrency model: `create_session` admits a session into a bounded
-//! FIFO queue (backpressure — a full queue answers a typed
-//! `overloaded` error). A fixed pool of worker threads (spawned by
-//! [`serve`](crate::server::serve)) pops sessions and runs each
-//! pipeline to completion; the number of concurrently *running*
-//! sessions is therefore exactly the worker count. Request dispatch
-//! itself never blocks on the pipeline except `suggest`, which waits up
-//! to [`ServiceOptions::suggest_timeout`] for the next ask.
+//! Concurrency model: a session is plain data — its pipeline is a
+//! [`RoboTuneStepper`](robotune::RoboTuneStepper) inside the
+//! [`ServedSession`] — and no thread belongs to it. `create_session`
+//! admits it (backpressure: once `workers + queue_capacity` sessions are
+//! live, a typed `overloaded` error) and queues a job to step it. A fixed
+//! pool of compute workers (spawned by [`serve`](crate::server::serve))
+//! pops those jobs: each runs one step — the stored tell into the
+//! stepper, then its next ask — and is free again. `observe` stores the
+//! tell and queues the next step, so the compute stays off the request
+//! path; `suggest` returns the ready ask, waiting up to
+//! [`ServiceOptions::suggest_timeout`] while a worker computes it. Any
+//! number of sessions can hold an outstanding ask while their clients
+//! run Spark; `workers` bounds only how many are computed at once.
 //!
-//! Shutdown: the flag flips, every session is cancelled cooperatively
-//! (running pipelines unblock and wind down, queued sessions are
-//! skipped), workers drain, and the server checkpoints the shared
-//! store. In-flight requests get responses; new sessions are refused.
+//! Shutdown: the flag flips, every live session is closed (its stepper
+//! dropped, writing nothing to the store), workers drain the job queue,
+//! and the server checkpoints the shared store. In-flight requests get
+//! responses; new sessions are refused.
 
 use crate::flight::FlightRecorder;
 use crate::protocol::{
@@ -24,7 +29,7 @@ use robotune::SharedMemoStore;
 use robotune_obs::{HistSummary, RollingWindow, Snapshot};
 use robotune_space::spark::spark_space;
 use robotune_space::ConfigSpace;
-use serde_json::{Map, Value};
+use serde_json::{json, Map, Value};
 use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -38,10 +43,11 @@ fn lock<'a, T: ?Sized>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
 /// Tunables for the service.
 #[derive(Debug, Clone)]
 pub struct ServiceOptions {
-    /// Worker threads — the max number of concurrently running
-    /// sessions.
+    /// Compute worker threads: how many sessions are stepped at once.
     pub workers: usize,
-    /// Queued-session cap; admissions beyond it get `overloaded`.
+    /// Admission headroom beyond the workers: once `workers +
+    /// queue_capacity` sessions are live (created and neither finished
+    /// nor closed), `create_session` answers `overloaded`.
     pub queue_capacity: usize,
     /// How long one `suggest` waits for the pipeline's next ask before
     /// answering a retryable `timeout` error.
@@ -91,11 +97,15 @@ pub struct SessionManager {
     store: SharedMemoStore,
     spaces: Vec<(String, Arc<ConfigSpace>)>,
     sessions: Mutex<HashMap<String, Arc<ServedSession>>>,
-    queue: Mutex<VecDeque<Arc<ServedSession>>>,
-    queue_cv: Condvar,
+    /// Sessions waiting for a compute worker to step them.
+    jobs: Mutex<VecDeque<Arc<ServedSession>>>,
+    jobs_cv: Condvar,
     next_id: AtomicU64,
     shutdown: AtomicBool,
-    active: AtomicU64,
+    /// Compute workers stepping a session right now.
+    busy: AtomicU64,
+    /// Sessions created and neither finished nor closed.
+    live: AtomicU64,
     slo: Mutex<SloWindows>,
     flight: Option<FlightRecorder>,
 }
@@ -120,11 +130,12 @@ impl SessionManager {
             store,
             spaces: vec![("spark".to_string(), Arc::new(spark_space()))],
             sessions: Mutex::new(HashMap::new()),
-            queue: Mutex::new(VecDeque::new()),
-            queue_cv: Condvar::new(),
+            jobs: Mutex::new(VecDeque::new()),
+            jobs_cv: Condvar::new(),
             next_id: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
-            active: AtomicU64::new(0),
+            busy: AtomicU64::new(0),
+            live: AtomicU64::new(0),
             slo: Mutex::new(SloWindows {
                 suggest: RollingWindow::new(slo_window),
                 observe: RollingWindow::new(slo_window),
@@ -157,7 +168,7 @@ impl SessionManager {
         self.shutdown.load(Ordering::Relaxed)
     }
 
-    /// Requests shutdown: refuse new sessions, cancel live ones, wake
+    /// Requests shutdown: refuse new sessions, close live ones, wake
     /// idle workers. The store checkpoint happens in
     /// [`serve`](crate::server::serve) once the workers have drained.
     pub fn begin_shutdown(&self) {
@@ -165,18 +176,19 @@ impl SessionManager {
             return;
         }
         robotune_obs::incr("service.shutdowns", 1);
-        for session in lock(&self.sessions).values() {
-            session.close();
+        let sessions: Vec<_> = lock(&self.sessions).values().cloned().collect();
+        for session in sessions {
+            self.close(&session);
         }
-        self.queue_cv.notify_all();
+        self.jobs_cv.notify_all();
     }
 
-    /// One worker: pop queued sessions and run each pipeline to
-    /// completion until shutdown drains the queue.
+    /// One compute worker: pop step jobs and run each until shutdown
+    /// drains the queue.
     pub fn worker_loop(&self) {
         loop {
             let session = {
-                let mut q = lock(&self.queue);
+                let mut q = lock(&self.jobs);
                 loop {
                     if let Some(s) = q.pop_front() {
                         break Some(s);
@@ -184,39 +196,41 @@ impl SessionManager {
                     if self.is_shutting_down() {
                         break None;
                     }
-                    q = self
-                        .queue_cv
-                        .wait(q)
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
+                    q = self.jobs_cv.wait(q).unwrap_or_else(std::sync::PoisonError::into_inner);
                 }
             };
             let Some(session) = session else {
                 return;
             };
-            if self.is_shutting_down() {
-                session.close();
-                continue;
-            }
-            let active = self.active.fetch_add(1, Ordering::Relaxed) + 1;
-            robotune_obs::record("service.sessions_active", active as f64);
-            robotune_obs::incr("service.sessions_started", 1);
-            session.run(self.store.clone());
-            let active = self.active.fetch_sub(1, Ordering::Relaxed) - 1;
-            robotune_obs::record("service.sessions_active", active as f64);
-            match session.state() {
-                SessionState::Finished => {
-                    robotune_obs::incr("service.sessions_finished", 1);
-                    // Finished but with failed evaluations: the fault
-                    // paths fired — leave a black box anyway.
-                    if session.stats().failed > 0 {
-                        self.dump_flight(&session, "fault_injection");
-                    }
-                }
-                _ => {
-                    robotune_obs::incr("service.sessions_cancelled", 1);
-                    self.dump_flight(&session, "cancelled");
+            let busy = self.busy.fetch_add(1, Ordering::Relaxed) + 1;
+            robotune_obs::record("service.sessions_active", busy as f64);
+            let finished = session.step();
+            let busy = self.busy.fetch_sub(1, Ordering::Relaxed) - 1;
+            robotune_obs::record("service.sessions_active", busy as f64);
+            if finished {
+                self.live.fetch_sub(1, Ordering::Relaxed);
+                robotune_obs::incr("service.sessions_finished", 1);
+                // Finished but with failed evaluations: the fault paths
+                // fired — leave a black box anyway.
+                if session.stats().failed > 0 {
+                    self.dump_flight(&session, "fault_injection");
                 }
             }
+        }
+    }
+
+    /// Queues a job to step `session`.
+    fn schedule(&self, session: Arc<ServedSession>) {
+        lock(&self.jobs).push_back(session);
+        self.jobs_cv.notify_one();
+    }
+
+    /// Closes `session`; a live one leaves a `cancelled` flight dump.
+    fn close(&self, session: &ServedSession) {
+        if session.close() {
+            self.live.fetch_sub(1, Ordering::Relaxed);
+            robotune_obs::incr("service.sessions_cancelled", 1);
+            self.dump_flight(session, "cancelled");
         }
     }
 
@@ -246,14 +260,27 @@ impl SessionManager {
         }
     }
 
-    /// Number of sessions admitted but not yet picked up by a worker.
+    /// Step jobs waiting for a compute worker.
     pub fn queue_depth(&self) -> usize {
-        lock(&self.queue).len()
+        lock(&self.jobs).len()
     }
 
     /// Handles one raw request line, returning the rendered response
     /// frame (without trailing newline).
     pub fn handle_line(&self, line: &str) -> String {
+        self.handle(line, false).unwrap_or_default()
+    }
+
+    /// Handles `line` only if the answer cannot wait: a malformed frame,
+    /// an `observe`, or a `suggest` whose ask is ready. Anything else
+    /// answers `None`, untouched, for the caller to hand to a thread that
+    /// may block — a `suggest` waiting for its step, or a verb that reads
+    /// every session or writes files.
+    pub fn handle_line_inline(&self, line: &str) -> Option<String> {
+        self.handle(line, true)
+    }
+
+    fn handle(&self, line: &str, inline_only: bool) -> Option<String> {
         let started = Instant::now();
         let frame = match serde_json::from_str(line) {
             Ok(v) => v,
@@ -263,15 +290,26 @@ impl SessionManager {
                     _ => ErrorCode::MalformedFrame,
                 };
                 robotune_obs::incr("service.req_errors", 1);
-                return render(error_frame(
+                return Some(render(error_frame(
                     &Value::Null,
                     &ProtoError::new(code, format!("bad frame: {e}")),
-                ));
+                )));
             }
         };
         let (id, parsed) = Request::parse(&frame);
         let response = match parsed {
             Ok(req) => {
+                let scope_session = req.session_id().and_then(|sid| self.session(sid).ok());
+                let cannot_wait = match &req {
+                    Request::Observe { .. } => true,
+                    Request::Suggest { .. } => {
+                        scope_session.as_ref().is_some_and(|s| s.suggest_ready())
+                    }
+                    _ => false,
+                };
+                if inline_only && !cannot_wait {
+                    return None;
+                }
                 let verb = verb_metric(&req);
                 let slo = match &req {
                     Request::Suggest { .. } => Some(SloVerb::Suggest),
@@ -281,7 +319,6 @@ impl SessionManager {
                 // Session-bearing verbs run inside the session's
                 // telemetry scope, so the per-verb latency histograms
                 // attribute per tenant as well as globally.
-                let scope_session = req.session_id().and_then(|sid| self.session(sid).ok());
                 let result = {
                     let _guard = scope_session.as_ref().map(|s| s.scope().enter());
                     let result = self.dispatch(&id, req);
@@ -304,7 +341,7 @@ impl SessionManager {
                 error_frame(&id, &err)
             }
         };
-        render(response)
+        Some(render(response))
     }
 
     fn dispatch(&self, id: &Value, req: Request) -> Value {
@@ -320,50 +357,40 @@ impl SessionManager {
                 },
             },
             Request::Observe { session, index, time_s, status } => {
-                match self.session(&session).and_then(|s| s.observe(index, time_s, status)) {
+                let observed = self.session(&session).and_then(|s| {
+                    let observed = s.observe(index, time_s, status)?;
+                    self.schedule(s);
+                    Ok(observed)
+                });
+                match observed {
                     Err(e) => error_frame(id, &e),
-                    Ok(observed) => {
-                        let mut m = ok_frame(id);
-                        m.insert("observed".into(), Value::from(observed));
-                        Value::Object(m)
-                    }
+                    Ok(observed) => ok_with(id, json!({"observed": observed})),
                 }
             }
             Request::Best { session } => match self.session(&session) {
                 Err(e) => error_frame(id, &e),
                 Ok(s) => {
                     let (best_time_s, best_config) = s.best();
-                    let mut m = ok_frame(id);
-                    m.insert("state".into(), Value::from(s.state().as_str()));
-                    m.insert(
-                        "best_time_s".into(),
-                        best_time_s.map_or(Value::Null, Value::from),
-                    );
-                    m.insert(
-                        "best_config".into(),
-                        best_config
-                            .map_or(Value::Null, |c| config_to_wire(s.space(), &c)),
-                    );
-                    Value::Object(m)
+                    ok_with(
+                        id,
+                        json!({
+                            "state": s.state().as_str(),
+                            "best_time_s": best_time_s,
+                            "best_config": best_config.map(|c| config_to_wire(s.space(), &c)),
+                        }),
+                    )
                 }
             },
             Request::Status { session: Some(session) } => match self.session(&session) {
                 Err(e) => error_frame(id, &e),
-                Ok(s) => {
-                    let mut m = ok_frame(id);
-                    extend_session_status(&mut m, &s);
-                    Value::Object(m)
-                }
+                Ok(s) => ok_with(id, session_row(&s)),
             },
             Request::Status { session: None } => self.server_status(id),
             Request::CloseSession { session } => match self.session(&session) {
                 Err(e) => error_frame(id, &e),
                 Ok(s) => {
-                    s.close();
-                    let mut m = ok_frame(id);
-                    m.insert("session".into(), Value::from(s.id.as_str()));
-                    m.insert("state".into(), Value::from(s.state().as_str()));
-                    Value::Object(m)
+                    self.close(&s);
+                    ok_with(id, json!({"session": s.id.as_str(), "state": s.state().as_str()}))
                 }
             },
             Request::Metrics { session, format } => self.metrics(id, session.as_deref(), format),
@@ -378,9 +405,7 @@ impl SessionManager {
             },
             Request::Shutdown => {
                 self.begin_shutdown();
-                let mut m = ok_frame(id);
-                m.insert("draining".into(), Value::Bool(true));
-                Value::Object(m)
+                ok_with(id, json!({"draining": true}))
             }
         }
     }
@@ -406,21 +431,14 @@ impl SessionManager {
         m.insert("tracing_enabled".into(), Value::Bool(robotune_obs::is_enabled()));
         match format {
             MetricsFormat::Json => {
-                let mut counters = Map::new();
-                for (name, total) in &snap.counters {
-                    counters.insert(name.clone(), Value::from(*total));
-                }
-                let mut hists = Map::new();
-                for (name, summary) in &snap.hists {
-                    hists.insert(name.clone(), summary_to_json(summary));
-                }
-                let mut spans = Map::new();
-                for (name, summary) in &snap.spans {
-                    spans.insert(name.clone(), summary_to_json(summary));
-                }
+                let summaries = |named: &[(String, HistSummary)]| -> Map {
+                    named.iter().map(|(n, s)| (n.clone(), summary_to_json(s))).collect()
+                };
+                let counters: Map =
+                    snap.counters.iter().map(|(n, t)| (n.clone(), Value::from(*t))).collect();
                 m.insert("counters".into(), Value::Object(counters));
-                m.insert("hists".into(), Value::Object(hists));
-                m.insert("spans".into(), Value::Object(spans));
+                m.insert("hists".into(), Value::Object(summaries(&snap.hists)));
+                m.insert("spans".into(), Value::Object(summaries(&snap.spans)));
             }
             MetricsFormat::Prometheus => {
                 let label_refs: Vec<(&str, &str)> =
@@ -435,19 +453,17 @@ impl SessionManager {
         Value::Object(m)
     }
 
-    /// Answers `health`: liveness, worker/queue pressure, rolling SLO
-    /// percentiles, and store durability lag.
+    /// Answers `health`: liveness, compute pressure (busy workers,
+    /// queued steps, live sessions), rolling SLO percentiles, and store
+    /// durability lag.
     fn health(&self, id: &Value) -> Value {
         let snap = robotune_obs::snapshot();
-        let store_status = self.store.status();
-        let wal_lag = self.store.wal_lag();
-        let store_workloads = self.store.workloads().len() as u64;
+        let store = self.store.status();
         // Degradation comes from the store itself (a shard whose WAL
         // appends are failing), not from telemetry counters: counters
         // are no-ops when tracing is disabled, and they never reset, so
         // a long-recovered hiccup would pin health at degraded forever.
-        let degraded = store_status.degraded()
-            || snap.counter("service.store.checkpoint_error") > 0;
+        let degraded = store.degraded() || snap.counter("service.store.checkpoint_error") > 0;
         let status = if self.is_shutting_down() {
             "draining"
         } else if degraded {
@@ -455,82 +471,61 @@ impl SessionManager {
         } else {
             "ok"
         };
-        let active = self.active.load(Ordering::Relaxed);
+        let busy = self.busy.load(Ordering::Relaxed);
         let workers = self.opts.workers.max(1) as u64;
-
-        let slo_json = {
+        let slo = {
             let slo = lock(&self.slo);
-            let mut s = Map::new();
-            s.insert("window".into(), Value::from(slo.suggest.capacity() as u64));
-            s.insert("suggest".into(), window_to_json(&slo.suggest));
-            s.insert("observe".into(), window_to_json(&slo.observe));
-            Value::Object(s)
+            json!({
+                "window": slo.suggest.capacity() as u64,
+                "suggest": window_to_json(&slo.suggest),
+                "observe": window_to_json(&slo.observe),
+            })
         };
-
-        let mut store_json = Map::new();
-        store_json.insert("wal_lag".into(), Value::from(wal_lag));
-        store_json.insert("workloads".into(), Value::from(store_workloads));
-        store_json
-            .insert("checkpoints".into(), Value::from(snap.counter("service.store.checkpoints")));
-        store_json
-            .insert("wal_errors".into(), Value::from(snap.counter("service.store.wal_error")));
-        store_json.insert(
-            "checkpoint_errors".into(),
-            Value::from(snap.counter("service.store.checkpoint_error")),
-        );
-        store_json.insert("persistent".into(), Value::Bool(store_status.persistent));
-        store_json.insert("shards".into(), Value::from(store_status.shards.len() as u64));
-        store_json.insert("degraded".into(), Value::Bool(store_status.degraded()));
-        store_json.insert(
-            "degraded_shards".into(),
-            Value::from(store_status.degraded_shards()),
-        );
-        store_json.insert("segments".into(), Value::from(store_status.segments()));
-        store_json.insert(
-            "corrupt_segments".into(),
-            Value::from(store_status.corrupt_segments()),
-        );
-        store_json.insert(
-            "shard_detail".into(),
-            Value::Array(
-                store_status
-                    .shards
-                    .iter()
-                    .map(|s| {
-                        let mut d = Map::new();
-                        d.insert("shard".into(), Value::from(s.shard as u64));
-                        d.insert("wal_lag".into(), Value::from(s.wal_lag));
-                        d.insert("segments".into(), Value::from(s.segments));
-                        d.insert("corrupt_segments".into(), Value::from(s.corrupt_segments));
-                        d.insert("torn_tails".into(), Value::from(s.torn_tails));
-                        d.insert("degraded".into(), Value::Bool(s.degraded));
-                        d.insert("workloads".into(), Value::from(s.workloads));
-                        Value::Object(d)
-                    })
-                    .collect(),
-            ),
-        );
-
-        let mut m = ok_frame(id);
-        m.insert("status".into(), Value::from(status));
-        m.insert("workers".into(), Value::from(workers));
-        m.insert("sessions_active".into(), Value::from(active));
-        m.insert(
-            "worker_utilization".into(),
-            Value::from((active as f64 / workers as f64).min(1.0)),
-        );
-        m.insert("queue_depth".into(), Value::from(self.queue_depth() as u64));
-        m.insert("queue_capacity".into(), Value::from(self.opts.queue_capacity as u64));
-        m.insert("slo".into(), slo_json);
-        m.insert("store".into(), Value::Object(store_json));
-        m.insert("tracing_enabled".into(), Value::Bool(robotune_obs::is_enabled()));
-        m.insert(
-            "flight_recorder".into(),
-            self.flight
-                .as_ref()
-                .map_or(Value::Null, |f| Value::from(f.dir().display().to_string())),
-        );
-        Value::Object(m)
+        let shard_detail: Vec<Value> = store
+            .shards
+            .iter()
+            .map(|s| {
+                json!({
+                    "shard": s.shard as u64,
+                    "wal_lag": s.wal_lag,
+                    "segments": s.segments,
+                    "corrupt_segments": s.corrupt_segments,
+                    "torn_tails": s.torn_tails,
+                    "degraded": s.degraded,
+                    "workloads": s.workloads,
+                })
+            })
+            .collect();
+        let store_json = json!({
+            "wal_lag": self.store.wal_lag(),
+            "workloads": self.store.workloads().len() as u64,
+            "checkpoints": snap.counter("service.store.checkpoints"),
+            "wal_errors": snap.counter("service.store.wal_error"),
+            "checkpoint_errors": snap.counter("service.store.checkpoint_error"),
+            "persistent": store.persistent,
+            "shards": store.shards.len() as u64,
+            "degraded": store.degraded(),
+            "degraded_shards": store.degraded_shards(),
+            "segments": store.segments(),
+            "corrupt_segments": store.corrupt_segments(),
+            "shard_detail": shard_detail,
+        });
+        ok_with(
+            id,
+            json!({
+                "status": status,
+                "workers": workers,
+                "sessions_active": busy,
+                "sessions_live": self.live.load(Ordering::Relaxed),
+                "worker_utilization": (busy as f64 / workers as f64).min(1.0),
+                "queue_depth": self.queue_depth() as u64,
+                "queue_capacity": self.opts.queue_capacity as u64,
+                "slo": slo,
+                "store": store_json,
+                "tracing_enabled": robotune_obs::is_enabled(),
+                "flight_recorder": self.flight.as_ref().map(|f| f.dir().display().to_string()),
+            }),
+        )
     }
 
     fn create_session(
@@ -562,28 +557,28 @@ impl SessionManager {
             session_id.clone(),
             SessionSpec { workload, budget, seed, profile },
             space,
+            self.store.clone(),
         );
         {
-            let mut q = lock(&self.queue);
-            if q.len() >= self.opts.queue_capacity {
+            let mut sessions = lock(&self.sessions);
+            let limit = (self.opts.workers.max(1) + self.opts.queue_capacity) as u64;
+            let live = self.live.load(Ordering::Relaxed);
+            if live >= limit {
                 robotune_obs::incr("service.overloaded", 1);
                 return error_frame(
                     id,
                     &ProtoError::new(
                         ErrorCode::Overloaded,
-                        format!("admission queue is full ({} sessions)", q.len()),
+                        format!("{live} live sessions (limit {limit})"),
                     ),
                 );
             }
-            lock(&self.sessions).insert(session_id.clone(), session.clone());
-            q.push_back(session);
+            self.live.fetch_add(1, Ordering::Relaxed);
+            sessions.insert(session_id.clone(), session.clone());
         }
-        self.queue_cv.notify_one();
         robotune_obs::incr("service.sessions_created", 1);
-        let mut m = ok_frame(id);
-        m.insert("session".into(), Value::from(session_id));
-        m.insert("state".into(), Value::from(SessionState::Queued.as_str()));
-        Value::Object(m)
+        self.schedule(session);
+        ok_with(id, json!({"session": session_id, "state": SessionState::Running.as_str()}))
     }
 
     fn session(&self, id: &str) -> Result<Arc<ServedSession>, ProtoError> {
@@ -593,127 +588,113 @@ impl SessionManager {
     }
 
     fn render_suggest(&self, id: &Value, s: &ServedSession, reply: SuggestReply) -> Value {
-        let mut m = ok_frame(id);
         match reply {
-            SuggestReply::Queued => {
-                m.insert("type".into(), Value::from("queued"));
-            }
-            SuggestReply::Ask(ask) => {
-                m.insert("type".into(), Value::from("config"));
-                m.insert("index".into(), Value::from(ask.index));
-                m.insert("cap_s".into(), Value::from(ask.cap_s));
-                m.insert("config".into(), config_to_wire(s.space(), &ask.config));
-            }
+            SuggestReply::Ask(ask) => ok_with(
+                id,
+                json!({
+                    "type": "config",
+                    "index": ask.index,
+                    "cap_s": ask.cap_s,
+                    "config": config_to_wire(s.space(), &ask.config),
+                }),
+            ),
             SuggestReply::Finished(out) => {
-                m.insert("type".into(), Value::from("finished"));
-                extend_outcome(&mut m, s, &out);
+                ok_with(id, merge(json!({"type": "finished"}), outcome_json(s, &out)))
             }
         }
-        Value::Object(m)
     }
 
     fn server_status(&self, id: &Value) -> Value {
-        let sessions = lock(&self.sessions);
-        let mut rows: Vec<(String, Value)> = sessions
-            .values()
-            .map(|s| {
-                let mut row = Map::new();
-                extend_session_status(&mut row, s);
-                (s.id.clone(), Value::Object(row))
-            })
-            .collect();
-        drop(sessions);
+        let mut sessions: Vec<Arc<ServedSession>> = lock(&self.sessions).values().cloned().collect();
         // HashMap iteration order is arbitrary; sort for stable output.
-        rows.sort_by(|a, b| a.0.cmp(&b.0));
-        let store_workloads = self.store.workloads();
-        let mut m = ok_frame(id);
-        m.insert("shutting_down".into(), Value::Bool(self.is_shutting_down()));
-        m.insert("workers".into(), Value::from(self.opts.workers as u64));
-        m.insert("queue_depth".into(), Value::from(self.queue_depth() as u64));
-        m.insert(
-            "sessions_active".into(),
-            Value::from(self.active.load(Ordering::Relaxed)),
-        );
-        m.insert(
-            "sessions".into(),
-            Value::Array(rows.into_iter().map(|(_, v)| v).collect()),
-        );
-        m.insert(
-            "store_workloads".into(),
-            Value::Array(store_workloads.into_iter().map(Value::from).collect()),
-        );
-        Value::Object(m)
+        sessions.sort_by(|a, b| a.id.cmp(&b.id));
+        ok_with(
+            id,
+            json!({
+                "shutting_down": self.is_shutting_down(),
+                "workers": self.opts.workers as u64,
+                "queue_depth": self.queue_depth() as u64,
+                "sessions_active": self.busy.load(Ordering::Relaxed),
+                "sessions_live": self.live.load(Ordering::Relaxed),
+                "sessions": sessions.iter().map(|s| session_row(s)).collect::<Vec<_>>(),
+                "store_workloads": self.store.workloads(),
+            }),
+        )
     }
 }
 
-fn extend_session_status(m: &mut Map, s: &ServedSession) {
+/// An `ok` response frame carrying `body`'s fields after `id`/`ok`.
+fn ok_with(id: &Value, body: Value) -> Value {
+    merge(Value::Object(ok_frame(id)), body)
+}
+
+/// The fields of JSON object `a` followed by those of `b`.
+fn merge(a: Value, b: Value) -> Value {
+    let (Value::Object(mut m), Value::Object(b)) = (a, b) else {
+        return Value::Null;
+    };
+    for (k, v) in b.iter() {
+        m.insert(k.clone(), v.clone());
+    }
+    Value::Object(m)
+}
+
+/// One session's `status` row.
+fn session_row(s: &ServedSession) -> Value {
     let stats = s.stats();
-    m.insert("session".into(), Value::from(s.id.as_str()));
-    m.insert("state".into(), Value::from(s.state().as_str()));
-    m.insert("workload".into(), Value::from(s.spec.workload.as_str()));
-    m.insert("seed".into(), Value::from(s.spec.seed));
-    m.insert("budget".into(), Value::from(s.spec.budget as u64));
-    m.insert("profile".into(), Value::from(s.spec.profile.as_str()));
-    m.insert("asked".into(), Value::from(stats.asked));
-    m.insert("observed".into(), Value::from(stats.observed));
-    m.insert("completed".into(), Value::from(stats.completed));
-    m.insert("failed".into(), Value::from(stats.failed));
-    m.insert("capped".into(), Value::from(stats.capped));
-    m.insert(
-        "best_time_s".into(),
-        stats.best_time_s.map_or(Value::Null, Value::from),
-    );
-    if let Some(out) = s.outcome() {
-        let mut o = Map::new();
-        extend_outcome(&mut o, s, &out);
-        m.insert("outcome".into(), Value::Object(o));
-    } else {
-        m.insert("outcome".into(), Value::Null);
-    }
+    json!({
+        "session": s.id.as_str(),
+        "state": s.state().as_str(),
+        "workload": s.spec.workload.as_str(),
+        "seed": s.spec.seed,
+        "budget": s.spec.budget as u64,
+        "profile": s.spec.profile.as_str(),
+        "asked": stats.asked,
+        "observed": stats.observed,
+        "completed": stats.completed,
+        "failed": stats.failed,
+        "capped": stats.capped,
+        "best_time_s": stats.best_time_s,
+        "outcome": s.outcome().map(|out| outcome_json(s, &out)),
+    })
 }
 
-fn extend_outcome(m: &mut Map, s: &ServedSession, out: &SessionOutcome) {
-    m.insert("evals".into(), Value::from(out.evals as u64));
-    m.insert(
-        "best_time_s".into(),
-        out.best_time_s.map_or(Value::Null, Value::from),
-    );
-    m.insert(
-        "best_config".into(),
-        out.best_config
-            .as_ref()
-            .map_or(Value::Null, |c| config_to_wire(s.space(), c)),
-    );
-    m.insert("warm_start".into(), Value::Bool(out.warm_start));
-    m.insert("cache_hit".into(), Value::Bool(out.cache_hit));
-    m.insert("selection_cost_s".into(), Value::from(out.selection_cost_s));
-    m.insert("search_cost_s".into(), Value::from(out.search_cost_s));
+fn outcome_json(s: &ServedSession, out: &SessionOutcome) -> Value {
+    json!({
+        "evals": out.evals as u64,
+        "best_time_s": out.best_time_s,
+        "best_config": out.best_config.as_ref().map(|c| config_to_wire(s.space(), c)),
+        "warm_start": out.warm_start,
+        "cache_hit": out.cache_hit,
+        "selection_cost_s": out.selection_cost_s,
+        "search_cost_s": out.search_cost_s,
+    })
 }
 
 /// Renders a histogram summary as a JSON object (non-finite fields
 /// serialize as `null`).
 fn summary_to_json(s: &HistSummary) -> Value {
-    let mut m = Map::new();
-    m.insert("count".into(), Value::from(s.count));
-    m.insert("sum".into(), Value::from(s.sum));
-    m.insert("mean".into(), Value::from(s.mean));
-    m.insert("min".into(), Value::from(s.min));
-    m.insert("max".into(), Value::from(s.max));
-    m.insert("p50".into(), Value::from(s.p50));
-    m.insert("p90".into(), Value::from(s.p90));
-    m.insert("p99".into(), Value::from(s.p99));
-    Value::Object(m)
+    json!({
+        "count": s.count,
+        "sum": s.sum,
+        "mean": s.mean,
+        "min": s.min,
+        "max": s.max,
+        "p50": s.p50,
+        "p90": s.p90,
+        "p99": s.p99,
+    })
 }
 
 /// Renders a rolling latency window (ns samples) as millisecond
 /// percentiles.
 fn window_to_json(w: &RollingWindow) -> Value {
-    let mut m = Map::new();
-    m.insert("count".into(), Value::from(w.len() as u64));
-    m.insert("total".into(), Value::from(w.total()));
-    m.insert("p50_ms".into(), w.p50().map_or(Value::Null, |ns| Value::from(ns / 1e6)));
-    m.insert("p99_ms".into(), w.p99().map_or(Value::Null, |ns| Value::from(ns / 1e6)));
-    Value::Object(m)
+    json!({
+        "count": w.len() as u64,
+        "total": w.total(),
+        "p50_ms": w.p50().map(|ns| ns / 1e6),
+        "p99_ms": w.p99().map(|ns| ns / 1e6),
+    })
 }
 
 fn verb_metric(req: &Request) -> &'static str {
@@ -745,9 +726,16 @@ mod tests {
     use super::*;
     use robotune::InMemoryMemoStore;
 
+    /// A manager with no compute workers running: created sessions stay
+    /// live with their first step queued.
     fn manager() -> SessionManager {
         SessionManager::new(
-            ServiceOptions { workers: 2, queue_capacity: 2, ..ServiceOptions::default() },
+            ServiceOptions {
+                workers: 2,
+                queue_capacity: 2,
+                suggest_timeout: Duration::from_millis(20),
+                ..ServiceOptions::default()
+            },
             InMemoryMemoStore::new().into_shared(),
         )
     }
@@ -756,23 +744,32 @@ mod tests {
         serde_json::from_str(s).unwrap()
     }
 
+    fn create(m: &SessionManager, workload: &str) -> Value {
+        parse(&m.handle_line(&format!(
+            r#"{{"verb":"create_session","workload":"{workload}","space":"spark","seed":1,"budget":5}}"#
+        )))
+    }
+
     #[test]
-    fn create_reports_queued_and_backpressure_is_typed() {
+    fn create_reports_running_and_admission_is_typed() {
         let m = manager();
-        let r1 = parse(&m.handle_line(
-            r#"{"id":1,"verb":"create_session","workload":"km","space":"spark","seed":1,"budget":5}"#,
-        ));
+        let r1 = create(&m, "km");
         assert_eq!(r1["ok"], Value::Bool(true));
-        assert_eq!(r1["state"].as_str(), Some("queued"));
-        let _ = m.handle_line(
-            r#"{"verb":"create_session","workload":"pr","space":"spark","seed":2,"budget":5}"#,
-        );
-        // Capacity 2: the third admission bounces.
-        let r3 = parse(&m.handle_line(
-            r#"{"verb":"create_session","workload":"cc","space":"spark","seed":3,"budget":5}"#,
-        ));
-        assert_eq!(r3["ok"], Value::Bool(false));
-        assert_eq!(r3["error"]["code"].as_str(), Some("overloaded"));
+        assert_eq!(r1["state"].as_str(), Some("running"));
+        // Workers 2 + headroom 2: four live sessions are admitted, the
+        // fifth bounces.
+        for w in ["pr", "cc", "lr"] {
+            assert_eq!(create(&m, w)["ok"], Value::Bool(true), "{w}");
+        }
+        let r5 = create(&m, "ts");
+        assert_eq!(r5["ok"], Value::Bool(false));
+        assert_eq!(r5["error"]["code"].as_str(), Some("overloaded"));
+        // Closing a live session makes room again.
+        let sid = r1["session"].as_str().unwrap();
+        let closed =
+            parse(&m.handle_line(&format!(r#"{{"verb":"close_session","session":"{sid}"}}"#)));
+        assert_eq!(closed["state"].as_str(), Some("closed"));
+        assert_eq!(create(&m, "ts")["ok"], Value::Bool(true));
     }
 
     #[test]
@@ -837,28 +834,25 @@ mod tests {
     #[test]
     fn health_reports_pressure_slo_and_store() {
         let m = manager();
-        let _ = m.handle_line(
-            r#"{"verb":"create_session","workload":"km","space":"spark","seed":1,"budget":5}"#,
-        );
+        let sid = create(&m, "km")["session"].as_str().unwrap().to_string();
         let h = parse(&m.handle_line(r#"{"verb":"health"}"#));
         assert_eq!(h["ok"], Value::Bool(true));
         assert_eq!(h["status"].as_str(), Some("ok"));
         assert_eq!(h["workers"].as_u64(), Some(2));
-        assert_eq!(h["queue_depth"].as_u64(), Some(1));
+        assert_eq!(h["queue_depth"].as_u64(), Some(1), "the first step waits for a worker");
         assert_eq!(h["queue_capacity"].as_u64(), Some(2));
-        assert_eq!(h["sessions_active"].as_u64(), Some(0));
+        assert_eq!(h["sessions_active"].as_u64(), Some(0), "no worker is stepping");
+        assert_eq!(h["sessions_live"].as_u64(), Some(1));
         assert_eq!(h["worker_utilization"].as_f64(), Some(0.0));
         assert_eq!(h["slo"]["window"].as_u64(), Some(256));
         assert_eq!(h["slo"]["suggest"]["count"].as_u64(), Some(0));
         assert_eq!(h["store"]["wal_lag"].as_u64(), Some(0));
         assert_eq!(h["flight_recorder"], Value::Null);
 
-        // A suggest against the queued session feeds the SLO window.
-        let sid = {
-            let server = parse(&m.handle_line(r#"{"verb":"status"}"#));
-            server["sessions"][0]["session"].as_str().unwrap().to_string()
-        };
-        let _ = m.handle_line(&format!(r#"{{"verb":"suggest","session":"{sid}"}}"#));
+        // With no worker to compute the first ask, a suggest times out
+        // (retryably) and still feeds the SLO window.
+        let r = parse(&m.handle_line(&format!(r#"{{"verb":"suggest","session":"{sid}"}}"#)));
+        assert_eq!(r["error"]["code"].as_str(), Some("timeout"));
         let h = parse(&m.handle_line(r#"{"verb":"health"}"#));
         assert_eq!(h["slo"]["suggest"]["count"].as_u64(), Some(1));
         assert!(h["slo"]["suggest"]["p50_ms"].as_f64().is_some());
@@ -866,21 +860,21 @@ mod tests {
         m.begin_shutdown();
         let h = parse(&m.handle_line(r#"{"verb":"health"}"#));
         assert_eq!(h["status"].as_str(), Some("draining"));
+        assert_eq!(h["sessions_live"].as_u64(), Some(0), "shutdown closes live sessions");
     }
 
     #[test]
     fn status_covers_the_server_and_single_sessions() {
         let m = manager();
-        let r = parse(&m.handle_line(
-            r#"{"verb":"create_session","workload":"km","space":"spark","seed":1,"budget":5}"#,
-        ));
-        let sid = r["session"].as_str().unwrap().to_string();
+        let sid = create(&m, "km")["session"].as_str().unwrap().to_string();
         let server = parse(&m.handle_line(r#"{"verb":"status"}"#));
         assert_eq!(server["queue_depth"].as_u64(), Some(1));
+        assert_eq!(server["sessions_live"].as_u64(), Some(1));
+        assert_eq!(server["sessions_active"].as_u64(), Some(0));
         assert_eq!(server["sessions"][0]["session"].as_str(), Some(sid.as_str()));
         let one =
             parse(&m.handle_line(&format!(r#"{{"verb":"status","session":"{sid}"}}"#)));
-        assert_eq!(one["state"].as_str(), Some("queued"));
+        assert_eq!(one["state"].as_str(), Some("running"));
         assert_eq!(one["workload"].as_str(), Some("km"));
         assert_eq!(one["outcome"], Value::Null);
     }

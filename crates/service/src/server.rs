@@ -4,17 +4,20 @@
 //! stand-in, `poll(2)` elsewhere) holds all connection state machines:
 //! incremental NDJSON frame reassembly ([`FrameDecoder`]), buffered
 //! nonblocking writes with high/low-watermark backpressure, and
-//! per-connection serial pipelining into a small dispatch pool that
-//! executes [`SessionManager::handle_line`]. Idle tenants cost one
+//! per-connection serial pipelining. A request that cannot wait (an
+//! `observe`, a `suggest` whose ask is ready) is answered on the loop
+//! itself; the rest go to a small dispatch pool that executes
+//! [`SessionManager::handle_line`]. Idle tenants cost one
 //! registered fd and a few hundred bytes — no thread, no 50 ms wakeup —
 //! which is what lets a single process hold 10k+ open sessions while a
-//! handful of session workers do only GP compute.
+//! handful of compute workers step their pipelines.
 //!
 //! ## Ownership model
 //!
 //! The reactor thread is the *only* thread that touches sockets. A
-//! decoded request travels `inbox → dispatch pool → completion queue →
-//! outbuf`, re-entering the reactor via a [`Waker`]; locally detected
+//! decoded request travels `inbox → outbuf` when it cannot wait, else
+//! `inbox → dispatch pool → completion queue → outbuf`, re-entering the
+//! reactor via a [`Waker`]; locally detected
 //! conditions (oversized frame, bad UTF-8) become inbox items too, so
 //! responses leave in exactly the order requests arrived. One request
 //! per connection is in flight at a time — pipelining *across* tenants
@@ -38,7 +41,7 @@
 //! keeps dispatching and flushing until every connection is quiet
 //! (empty inbox, nothing in flight, flushed outbuf) and closes them
 //! without waiting for peer EOF. Only after the loop, the dispatch
-//! pool, and the session workers have all exited is the shared store
+//! pool, and the compute workers have all exited is the shared store
 //! checkpointed, exactly once.
 
 use crate::framing::{DecodedFrame, FrameDecoder};
@@ -486,6 +489,18 @@ impl<'m> Reactor<'m> {
                         let _read = robotune_obs::span("service.frame_read");
                         robotune_obs::TraceCtx::mint()
                     };
+                    // A request that cannot wait is answered here: two
+                    // thread hand-offs fewer for every request queued
+                    // behind it on this connection.
+                    let inline = {
+                        let _trace = robotune_obs::adopt(ctx);
+                        let _span = robotune_obs::span("service.dispatch");
+                        self.manager.handle_line_inline(&line)
+                    };
+                    if let Some(response) = inline {
+                        conn.append_response(&response);
+                        continue;
+                    }
                     conn.in_flight = true;
                     if self.job_tx.send(Job { token, line, ctx }).is_err() {
                         // Dispatch pool gone: only possible mid-teardown.
@@ -563,11 +578,11 @@ impl<'m> Reactor<'m> {
 
 /// Runs the daemon on `listener` until a `shutdown` request drains it.
 ///
-/// Structure: one scope holds the session workers (GP compute), the
+/// Structure: one scope holds the compute workers (session steps), the
 /// dispatch pool (protocol handling), and the reactor on the calling
 /// thread. The reactor returning unblocks everything — dropping the
 /// job sender stops the dispatch pool, `begin_shutdown` has already
-/// stopped the session workers — and once the scope joins, the shared
+/// stopped the compute workers — and once the scope joins, the shared
 /// store is checkpointed (snapshot + WAL truncate) exactly once.
 pub fn serve(listener: TcpListener, manager: &SessionManager) -> io::Result<()> {
     listener.set_nonblocking(true)?;

@@ -1,33 +1,32 @@
-//! One served tuning session: the ask/tell bridge over the unmodified
-//! ROBOTune pipeline.
+//! One served tuning session: the ROBOTune pipeline's
+//! [`RoboTuneStepper`] held as plain data, plus the ask/tell bookkeeping
+//! the protocol needs.
 //!
-//! The pipeline is a *push* loop — it calls
-//! [`Objective::evaluate`] and blocks until a measurement returns. A
-//! [`ServedSession`] runs that loop on a worker thread against a
-//! [`ChannelObjective`] whose `evaluate` publishes the configuration as
-//! an **ask** on a rendezvous channel and parks until the client's
-//! `observe` sends the matching **tell** back. Nothing in the selection,
-//! sampling, or BO layers changes, so the served trajectory at seed `S`
-//! is bit-identical to an in-process `tune_workload` run at seed `S` —
-//! the integration tests assert exactly that.
+//! A session owns no thread. A compute worker runs
+//! [`ServedSession::step`] — the stored tell into the stepper, then the
+//! stepper's next ask — under the session's stepper lock; `suggest`
+//! hands that ask out — parking its thread until a step unparks it, if
+//! the ask is not ready yet — and `observe` stores the client's
+//! measurement for the next step. The stepper is the same one
+//! [`RoboTune::tune_workload`](robotune::RoboTune::tune_workload)
+//! drives, so the served trajectory at seed `S` is bit-identical to an
+//! in-process run at seed `S` by construction.
 //!
-//! Lifecycle: `Queued` (admitted, waiting for a worker) → `Running`
-//! (pipeline live) → `Finished` (budget exhausted, outcome recorded) or
-//! `Closed` (client close / server shutdown; the pipeline is cancelled
-//! cooperatively via the engine's cancel flag and unblocked by dropping
-//! the tell sender).
+//! Lifecycle: `Running` (from creation; the pipeline lives in the
+//! stepper) → `Finished` (budget spent, outcome recorded) or `Closed`
+//! (client close / server shutdown). Closing drops the stepper, which
+//! writes nothing to the shared store.
 
 use crate::protocol::{ErrorCode, ObservedStatus, Profile, ProtoError};
-use robotune::{RoboTune, SharedMemoStore};
-use robotune_obs::{Scope, ScopeLabels};
+use robotune::{RoboTuneOutcome, RoboTuneStepper, SharedMemoStore, Step};
+use robotune_obs::{Scope, ScopeLabels, TraceCtx};
 use robotune_space::{ConfigSpace, Configuration};
 use robotune_stats::rng_from_seed;
-use robotune_tuners::{Evaluation, Objective};
+use robotune_tuners::Evaluation;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender};
-use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
-use std::time::Duration;
+use std::sync::{Arc, Mutex, MutexGuard};
+use std::thread::Thread;
+use std::time::{Duration, Instant};
 
 /// Hard cap on a session's recorded config trajectory (asks + tells).
 /// Oldest entries roll off; the drop count is kept for the flight dump.
@@ -40,9 +39,7 @@ fn lock<'a, T: ?Sized>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
 /// Where a session is in its lifecycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SessionState {
-    /// Admitted; waiting for a worker slot.
-    Queued,
-    /// The pipeline is live on a worker.
+    /// The pipeline is live.
     Running,
     /// The pipeline completed its budget.
     Finished,
@@ -54,7 +51,6 @@ impl SessionState {
     /// The wire spelling.
     pub fn as_str(self) -> &'static str {
         match self {
-            SessionState::Queued => "queued",
             SessionState::Running => "running",
             SessionState::Finished => "finished",
             SessionState::Closed => "closed",
@@ -127,15 +123,8 @@ pub struct SessionOutcome {
 /// flight recorder.
 #[derive(Debug, Clone)]
 pub enum TrajectoryEntry {
-    /// The pipeline asked the client to run `config` under `cap_s`.
-    Ask {
-        /// Per-session evaluation index.
-        index: u64,
-        /// Evaluation cap in seconds.
-        cap_s: f64,
-        /// The configuration handed out.
-        config: Configuration,
-    },
+    /// The pipeline asked the client to run this.
+    Ask(Ask),
     /// The client reported a measurement back.
     Tell {
         /// Index of the ask this answers.
@@ -167,60 +156,28 @@ impl Trajectory {
 /// What `suggest` can answer.
 #[derive(Debug, Clone)]
 pub enum SuggestReply {
-    /// Still waiting for a worker; retry shortly.
-    Queued,
     /// Run this configuration and `observe` the result.
     Ask(Ask),
     /// The session completed; here is the summary.
     Finished(SessionOutcome),
 }
 
-/// One measurement travelling back to the pipeline, together with the
-/// causal trace context of the `observe` request that carried it. The
-/// worker thread re-roots its ambient context to `ctx` so the spans of
-/// the continuation (the GP fit feeding the *next* ask) link back to
-/// the observing request across the thread crossing.
-struct Tell {
-    eval: Evaluation,
-    ctx: robotune_obs::TraceCtx,
-}
-
-/// The channel-backed [`Objective`] the pipeline runs against.
-struct ChannelObjective {
-    ask_tx: SyncSender<Ask>,
-    tell_rx: Receiver<Tell>,
-    /// Shared with the session's cancel flag: once set, evaluations
-    /// short-circuit to deterministic failures so the selector or
-    /// engine can wind down without further client input.
-    aborted: Arc<AtomicBool>,
-    next_index: u64,
-}
-
-impl Objective for ChannelObjective {
-    fn evaluate(&mut self, config: &Configuration, cap_s: f64) -> Evaluation {
-        if self.aborted.load(Ordering::Relaxed) {
-            return Evaluation::failed(0.0);
-        }
-        let ask = Ask { index: self.next_index, config: config.clone(), cap_s };
-        self.next_index += 1;
-        if self.ask_tx.send(ask).is_err() {
-            self.aborted.store(true, Ordering::Relaxed);
-            return Evaluation::failed(0.0);
-        }
-        match self.tell_rx.recv() {
-            Ok(tell) => {
-                // The "current request" of this worker thread is now the
-                // observe that delivered the measurement.
-                robotune_obs::set_ambient(tell.ctx);
-                tell.eval
-            }
-            Err(_) => {
-                // The server dropped the tell sender: session closed.
-                self.aborted.store(true, Ordering::Relaxed);
-                Evaluation::failed(0.0)
-            }
-        }
-    }
+/// The protocol's view of a session, behind one short-held lock.
+#[derive(Debug)]
+struct Ledger {
+    state: SessionState,
+    /// The next ask, computed by a step and not yet handed out.
+    ready: Option<Ask>,
+    /// The ask `suggest` handed out, awaiting its `observe`.
+    outstanding: Option<Ask>,
+    /// The measurement `observe` stored for the next step, with the
+    /// causal context of the observing request.
+    tell: Option<(Evaluation, TraceCtx)>,
+    /// Threads parked in `suggest` until a step or a close wakes them.
+    waiters: Vec<Thread>,
+    stats: SessionStats,
+    outcome: Option<SessionOutcome>,
+    trajectory: Trajectory,
 }
 
 /// One multi-tenant session hosted by the service.
@@ -230,45 +187,56 @@ pub struct ServedSession {
     /// Creation-time parameters.
     pub spec: SessionSpec,
     space: Arc<ConfigSpace>,
-    state: Mutex<SessionState>,
-    state_cv: Condvar,
-    cancel: Arc<AtomicBool>,
-    ask_rx: Mutex<Option<Receiver<Ask>>>,
-    tell_tx: Mutex<Option<SyncSender<Tell>>>,
-    /// Causal context of the `create_session` request; the worker thread
-    /// adopts it as its ambient context when the pipeline starts.
-    created_ctx: robotune_obs::TraceCtx,
-    pending: Mutex<Option<Ask>>,
-    stats: Mutex<SessionStats>,
-    outcome: Mutex<Option<SessionOutcome>>,
+    /// Causal context of the `create_session` request; the first step
+    /// adopts it, later steps adopt their observe's context.
+    created_ctx: TraceCtx,
     /// Telemetry scope: everything the pipeline (and the connection
     /// threads serving this session) emits attributes here too.
     scope: Scope,
-    trajectory: Mutex<Trajectory>,
+    /// The pipeline, held while a worker steps it; `None` once the
+    /// session has finished or closed.
+    stepper: Mutex<Option<RoboTuneStepper>>,
+    ledger: Mutex<Ledger>,
 }
 
 impl ServedSession {
-    /// Creates a session in the `Queued` state.
-    pub fn new(id: String, spec: SessionSpec, space: Arc<ConfigSpace>) -> Arc<Self> {
+    /// Creates a `Running` session whose pipeline reads and writes
+    /// `store`. Nothing is computed until the first step.
+    pub fn new(
+        id: String,
+        spec: SessionSpec,
+        space: Arc<ConfigSpace>,
+        store: SharedMemoStore,
+    ) -> Arc<Self> {
         let scope = Scope::new(ScopeLabels {
             session_id: id.clone(),
             workload: spec.workload.clone(),
         });
+        let stepper = RoboTuneStepper::new(
+            spec.profile.options(),
+            store,
+            Arc::clone(&space),
+            spec.workload.clone(),
+            spec.budget,
+            rng_from_seed(spec.seed),
+        );
         Arc::new(ServedSession {
             id,
             spec,
             space,
-            state: Mutex::new(SessionState::Queued),
-            state_cv: Condvar::new(),
-            cancel: Arc::new(AtomicBool::new(false)),
-            ask_rx: Mutex::new(None),
-            tell_tx: Mutex::new(None),
-            created_ctx: robotune_obs::TraceCtx::current(),
-            pending: Mutex::new(None),
-            stats: Mutex::new(SessionStats::default()),
-            outcome: Mutex::new(None),
+            created_ctx: TraceCtx::current(),
             scope,
-            trajectory: Mutex::new(Trajectory::default()),
+            stepper: Mutex::new(Some(stepper)),
+            ledger: Mutex::new(Ledger {
+                state: SessionState::Running,
+                ready: None,
+                outstanding: None,
+                tell: None,
+                waiters: Vec::new(),
+                stats: SessionStats::default(),
+                outcome: None,
+                trajectory: Trajectory::default(),
+            }),
         })
     }
 
@@ -280,8 +248,8 @@ impl ServedSession {
     /// A copy of the recorded ask/tell trajectory plus the number of
     /// entries that rolled off the bounded history.
     pub fn trajectory(&self) -> (Vec<TrajectoryEntry>, u64) {
-        let t = lock(&self.trajectory);
-        (t.entries.iter().cloned().collect(), t.dropped)
+        let l = lock(&self.ledger);
+        (l.trajectory.entries.iter().cloned().collect(), l.trajectory.dropped)
     }
 
     /// The space this session tunes over.
@@ -291,168 +259,105 @@ impl ServedSession {
 
     /// Current lifecycle state.
     pub fn state(&self) -> SessionState {
-        *lock(&self.state)
+        lock(&self.ledger).state
     }
 
     /// A copy of the client-side counters.
     pub fn stats(&self) -> SessionStats {
-        lock(&self.stats).clone()
+        lock(&self.ledger).stats.clone()
     }
 
     /// The finished summary, if the pipeline has completed.
     pub fn outcome(&self) -> Option<SessionOutcome> {
-        lock(&self.outcome).clone()
+        lock(&self.ledger).outcome.clone()
     }
 
-    /// Runs the pipeline to completion on the calling (worker) thread.
-    ///
-    /// Returns immediately if the session was closed while queued.
-    pub fn run(&self, store: SharedMemoStore) {
-        let (ask_tx, ask_rx) = mpsc::sync_channel::<Ask>(1);
-        let (tell_tx, tell_rx) = mpsc::sync_channel::<Tell>(1);
-        {
-            // Install the channel ends *before* announcing `Running`,
-            // so a racing `suggest` never observes a running session
-            // with no receiver.
-            let mut st = lock(&self.state);
-            if *st != SessionState::Queued {
-                return;
+    /// Advances the pipeline on the calling (worker) thread: feeds it
+    /// the stored tell, if any, and computes the next ask — or, once
+    /// the budget is spent, records the outcome. Runs inside the
+    /// session's telemetry scope with the causal context of the request
+    /// that caused it. Returns whether this step finished the session; a
+    /// closed or finished session does nothing.
+    pub fn step(&self) -> bool {
+        let mut guard = lock(&self.stepper);
+        let Some(stepper) = guard.as_mut() else {
+            return false;
+        };
+        let tell = {
+            let mut l = lock(&self.ledger);
+            if l.state != SessionState::Running {
+                return false;
             }
-            *lock(&self.ask_rx) = Some(ask_rx);
-            *lock(&self.tell_tx) = Some(tell_tx);
-            *st = SessionState::Running;
-            self.state_cv.notify_all();
-        }
-
-        // Attribute everything the pipeline emits (gp.*, bo.*, retry.*,
-        // eval.*) to this session's scope. A no-op while tracing is
-        // disabled, so served trajectories stay bit-identical either way.
+            l.tell.take()
+        };
+        // Telemetry only — neither touches the RNG or the data, so
+        // served trajectories stay bit-identical either way.
         let _scope = self.scope.enter();
-        // The worker's ambient trace context starts at the creating
-        // request and is re-rooted to each observe's context as tells
-        // arrive, so pipeline spans always link to the request that
-        // caused them. Telemetry only — never touches the RNG or data.
-        robotune_obs::set_ambient(self.created_ctx);
-        let mut objective = ChannelObjective {
-            ask_tx,
-            tell_rx,
-            aborted: self.cancel.clone(),
-            next_index: 0,
-        };
-        let mut opts = self.spec.profile.options();
-        opts.engine.cancel = Some(self.cancel.clone());
-        let mut tuner = RoboTune::with_store(opts, store);
-        let mut rng = rng_from_seed(self.spec.seed);
-        let out = tuner.tune_workload(
-            &self.space,
-            &self.spec.workload,
-            &mut objective,
-            self.spec.budget,
-            &mut rng,
-        );
-
-        *lock(&self.outcome) = Some(SessionOutcome {
-            evals: out.session.len(),
-            best_time_s: out.session.best_time(),
-            best_config: out.session.best().map(|r| r.config.clone()),
-            warm_start: out.warm_start,
-            cache_hit: out.selection.is_none(),
-            selection_cost_s: out.selection_cost_s,
-            search_cost_s: out.session.search_cost() + out.selection_cost_s,
-        });
-        // The worker thread outlives the session: clear its ambient
-        // context so the next session starts with a clean slate.
-        robotune_obs::set_ambient(robotune_obs::TraceCtx::NONE);
-        // Drop our tell sender so late `observe`s get a typed
-        // session_closed/finished answer instead of feeding a dead loop.
-        lock(&self.tell_tx).take();
-        let mut st = lock(&self.state);
-        if *st == SessionState::Running {
-            *st = SessionState::Finished;
+        let _trace = robotune_obs::adopt(tell.map_or(self.created_ctx, |(_, ctx)| ctx));
+        if let Some((eval, _)) = tell {
+            stepper.tell(eval);
         }
-        self.state_cv.notify_all();
+        let step = stepper.ask();
+        let mut l = lock(&self.ledger);
+        if l.state != SessionState::Running {
+            return false;
+        }
+        l.waiters.drain(..).for_each(|t| t.unpark());
+        match step {
+            Step::Ask { config, cap_s } => {
+                // Asks are handed out one at a time, so the next index is
+                // the number handed out so far.
+                let index = l.stats.asked;
+                l.ready = Some(Ask { index, config, cap_s });
+                false
+            }
+            Step::Done(out) => {
+                l.outcome = Some(SessionOutcome::of(&out));
+                l.state = SessionState::Finished;
+                *guard = None;
+                true
+            }
+        }
     }
 
-    /// Pulls the next ask, waiting up to `timeout` for the pipeline.
+    /// Hands out the next ask, waiting up to `timeout` for a step to
+    /// compute it.
     pub fn suggest(&self, timeout: Duration) -> Result<SuggestReply, ProtoError> {
-        match self.state() {
-            SessionState::Queued => return Ok(SuggestReply::Queued),
-            SessionState::Closed => {
-                return Err(ProtoError::new(ErrorCode::SessionClosed, "session is closed"))
-            }
-            SessionState::Finished => return Ok(self.finished_reply()),
-            SessionState::Running => {}
-        }
-        let rx_guard = lock(&self.ask_rx);
-        // Serialise concurrent suggests on one session: whoever holds
-        // the receiver checks again that no ask is outstanding.
-        if lock(&self.pending).is_some() {
-            return Err(ProtoError::new(
-                ErrorCode::SuggestionPending,
-                "previous suggestion not yet observed",
-            ));
-        }
-        let Some(rx) = rx_guard.as_ref() else {
-            return match self.state() {
-                SessionState::Finished => Ok(self.finished_reply()),
-                _ => Err(ProtoError::new(ErrorCode::SessionClosed, "session is closed")),
-            };
-        };
-        match rx.recv_timeout(timeout) {
-            Ok(ask) => {
-                *lock(&self.pending) = Some(ask.clone());
-                lock(&self.stats).asked += 1;
-                lock(&self.trajectory).push(TrajectoryEntry::Ask {
-                    index: ask.index,
-                    cap_s: ask.cap_s,
-                    config: ask.config.clone(),
-                });
-                Ok(SuggestReply::Ask(ask))
-            }
-            Err(RecvTimeoutError::Timeout) => Err(ProtoError::new(
-                ErrorCode::Timeout,
-                "pipeline produced no suggestion in time; retry",
-            )),
-            Err(RecvTimeoutError::Disconnected) => {
-                drop(rx_guard);
-                // The pipeline wound down; wait briefly for the worker
-                // to record the outcome and settle the state.
-                let st = self.wait_settled(Duration::from_secs(5));
-                match st {
-                    SessionState::Finished => Ok(self.finished_reply()),
-                    _ => Err(ProtoError::new(ErrorCode::SessionClosed, "session is closed")),
+        let deadline = Instant::now() + timeout;
+        loop {
+            let left = {
+                let mut l = lock(&self.ledger);
+                if let Some(reply) = l.try_suggest()? {
+                    return Ok(reply);
                 }
-            }
+                let left = deadline.saturating_duration_since(Instant::now());
+                if left.is_zero() {
+                    return Err(ProtoError::new(
+                        ErrorCode::Timeout,
+                        "pipeline produced no suggestion in time; retry",
+                    ));
+                }
+                let me = std::thread::current();
+                if !l.waiters.iter().any(|t| t.id() == me.id()) {
+                    l.waiters.push(me);
+                }
+                left
+            };
+            // A step or a close unparks us; an unpark that lands before
+            // the park makes it return at once, so none is lost.
+            std::thread::park_timeout(left);
         }
     }
 
-    fn wait_settled(&self, timeout: Duration) -> SessionState {
-        let (st, _) = self
-            .state_cv
-            .wait_timeout_while(lock(&self.state), timeout, |st| *st == SessionState::Running)
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        *st
+    /// Whether `suggest` would answer at once, without waiting for a step.
+    pub fn suggest_ready(&self) -> bool {
+        let l = lock(&self.ledger);
+        l.state != SessionState::Running || l.ready.is_some() || l.outstanding.is_some()
     }
 
-    fn finished_reply(&self) -> SuggestReply {
-        match self.outcome() {
-            Some(out) => SuggestReply::Finished(out),
-            // Settled state without an outcome cannot happen; degrade
-            // to an empty summary rather than panic.
-            None => SuggestReply::Finished(SessionOutcome {
-                evals: 0,
-                best_time_s: None,
-                best_config: None,
-                warm_start: false,
-                cache_hit: false,
-                selection_cost_s: 0.0,
-                search_cost_s: 0.0,
-            }),
-        }
-    }
-
-    /// Feeds the client's measurement back to the pipeline. Returns the
-    /// total number of observations accepted so far.
+    /// Stores the client's measurement for the next step. Returns the
+    /// total number of observations accepted so far; the caller
+    /// schedules the step.
     pub fn observe(
         &self,
         index: Option<u64>,
@@ -465,8 +370,8 @@ impl ServedSession {
                 "time_s must be a finite non-negative number",
             ));
         }
-        let mut pending = lock(&self.pending);
-        let Some(ask) = pending.as_ref() else {
+        let mut l = lock(&self.ledger);
+        let Some(ask) = l.outstanding.as_ref() else {
             return Err(ProtoError::new(
                 ErrorCode::NoPendingSuggestion,
                 "no suggestion outstanding",
@@ -480,23 +385,11 @@ impl ServedSession {
                 ));
             }
         }
-        let tx_guard = lock(&self.tell_tx);
-        let Some(tx) = tx_guard.as_ref() else {
-            pending.take();
-            return Err(ProtoError::new(ErrorCode::SessionClosed, "session is closed"));
-        };
-        let tell =
-            Tell { eval: status.to_evaluation(time_s), ctx: robotune_obs::TraceCtx::current() };
-        if tx.send(tell).is_err() {
-            pending.take();
-            return Err(ProtoError::new(ErrorCode::SessionClosed, "session is closed"));
-        }
-        let answered = pending.take().map(|a| a.index);
-        drop(tx_guard);
-        if let Some(index) = answered {
-            lock(&self.trajectory).push(TrajectoryEntry::Tell { index, time_s, status });
-        }
-        let mut stats = lock(&self.stats);
+        let index = ask.index;
+        l.outstanding = None;
+        l.tell = Some((status.to_evaluation(time_s), TraceCtx::current()));
+        l.trajectory.push(TrajectoryEntry::Tell { index, time_s, status });
+        let stats = &mut l.stats;
         stats.observed += 1;
         match status {
             ObservedStatus::Completed => {
@@ -515,26 +408,69 @@ impl ServedSession {
     /// The best completed configuration reported so far (from the
     /// finished outcome when available, else the live tell counters).
     pub fn best(&self) -> (Option<f64>, Option<Configuration>) {
-        if let Some(out) = self.outcome() {
-            return (out.best_time_s, out.best_config);
+        let l = lock(&self.ledger);
+        match &l.outcome {
+            Some(out) => (out.best_time_s, out.best_config.clone()),
+            None => (l.stats.best_time_s, None),
         }
-        (lock(&self.stats).best_time_s, None)
     }
 
-    /// Cancels the session: flags the pipeline, unblocks it, and drops
-    /// any outstanding ask. Finished sessions stay `Finished`.
-    pub fn close(&self) {
-        self.cancel.store(true, Ordering::Relaxed);
+    /// Cancels the session and drops its pipeline, which writes nothing
+    /// to the store. Returns whether it was running; finished sessions
+    /// stay `Finished`.
+    pub fn close(&self) -> bool {
         {
-            let mut st = lock(&self.state);
-            match *st {
-                SessionState::Finished | SessionState::Closed => return,
-                _ => *st = SessionState::Closed,
+            let mut l = lock(&self.ledger);
+            if l.state != SessionState::Running {
+                return false;
             }
-            self.state_cv.notify_all();
+            l.state = SessionState::Closed;
+            l.ready = None;
+            l.outstanding = None;
+            l.tell = None;
+            l.waiters.drain(..).for_each(|t| t.unpark());
         }
-        lock(&self.tell_tx).take();
-        lock(&self.pending).take();
+        lock(&self.stepper).take();
+        true
+    }
+}
+
+impl Ledger {
+    /// The ready ask, handed out; `Ok(None)` while a step computes it.
+    fn try_suggest(&mut self) -> Result<Option<SuggestReply>, ProtoError> {
+        match self.state {
+            SessionState::Closed => {
+                Err(ProtoError::new(ErrorCode::SessionClosed, "session is closed"))
+            }
+            SessionState::Finished => Ok(self.outcome.clone().map(SuggestReply::Finished)),
+            SessionState::Running if self.outstanding.is_some() => Err(ProtoError::new(
+                ErrorCode::SuggestionPending,
+                "previous suggestion not yet observed",
+            )),
+            SessionState::Running => {
+                let Some(ask) = self.ready.take() else {
+                    return Ok(None);
+                };
+                self.outstanding = Some(ask.clone());
+                self.stats.asked += 1;
+                self.trajectory.push(TrajectoryEntry::Ask(ask.clone()));
+                Ok(Some(SuggestReply::Ask(ask)))
+            }
+        }
+    }
+}
+
+impl SessionOutcome {
+    fn of(out: &RoboTuneOutcome) -> Self {
+        SessionOutcome {
+            evals: out.session.len(),
+            best_time_s: out.session.best_time(),
+            best_config: out.session.best().map(|r| r.config.clone()),
+            warm_start: out.warm_start,
+            cache_hit: out.selection.is_none(),
+            selection_cost_s: out.selection_cost_s,
+            search_cost_s: out.session.search_cost() + out.selection_cost_s,
+        }
     }
 }
 
@@ -553,19 +489,28 @@ mod tests {
         }
     }
 
-    #[test]
-    fn closed_while_queued_never_runs() {
-        let s = ServedSession::new("s-1".into(), spec(), Arc::new(spark_space()));
-        s.close();
-        s.run(InMemoryMemoStore::new().into_shared());
-        assert_eq!(s.state(), SessionState::Closed);
-        assert!(s.outcome().is_none());
+    fn session(id: &str, store: SharedMemoStore) -> Arc<ServedSession> {
+        ServedSession::new(id.into(), spec(), Arc::new(spark_space()), store)
     }
 
     #[test]
-    fn suggest_before_running_reports_queued_and_observe_is_typed() {
-        let s = ServedSession::new("s-2".into(), spec(), Arc::new(spark_space()));
-        assert!(matches!(s.suggest(Duration::from_millis(1)), Ok(SuggestReply::Queued)));
+    fn closed_session_never_steps() {
+        let store = InMemoryMemoStore::new().into_shared();
+        let s = session("s-1", store.clone());
+        assert!(s.close());
+        assert!(!s.close(), "a second close is a no-op");
+        assert!(!s.step());
+        assert_eq!(s.state(), SessionState::Closed);
+        assert!(s.outcome().is_none());
+        assert!(store.workloads().is_empty());
+    }
+
+    #[test]
+    fn suggest_before_the_first_step_waits_and_observe_is_typed() {
+        let s = session("s-2", InMemoryMemoStore::new().into_shared());
+        assert_eq!(s.state(), SessionState::Running);
+        let err = s.suggest(Duration::ZERO).unwrap_err();
+        assert_eq!(err.code, ErrorCode::Timeout, "no step has computed an ask yet");
         let err = s.observe(None, 1.0, ObservedStatus::Completed).unwrap_err();
         assert_eq!(err.code, ErrorCode::NoPendingSuggestion);
         let err = s.observe(None, f64::NAN, ObservedStatus::Completed).unwrap_err();
@@ -574,65 +519,57 @@ mod tests {
 
     #[test]
     fn ask_tell_drives_a_session_to_finished() {
-        let s = ServedSession::new("s-3".into(), spec(), Arc::new(spark_space()));
-        let store = InMemoryMemoStore::new().into_shared();
-        std::thread::scope(|scope| {
-            let session = &s;
-            scope.spawn(move || session.run(store));
-            let mut last_index = None;
-            loop {
-                match s.suggest(Duration::from_secs(30)).unwrap() {
-                    SuggestReply::Queued => std::thread::sleep(Duration::from_millis(2)),
-                    SuggestReply::Ask(ask) => {
-                        // Indexes are monotonic and double-suggest is typed.
-                        if let Some(prev) = last_index {
-                            assert_eq!(ask.index, prev + 1);
-                        }
-                        last_index = Some(ask.index);
-                        let err = s.suggest(Duration::from_millis(1)).unwrap_err();
-                        assert_eq!(err.code, ErrorCode::SuggestionPending);
-                        // A mismatched echo index is rejected, the right one lands.
-                        let err =
-                            s.observe(Some(ask.index + 7), 10.0, ObservedStatus::Completed);
-                        assert_eq!(err.unwrap_err().code, ErrorCode::InvalidField);
-                        s.observe(Some(ask.index), 10.0, ObservedStatus::Completed).unwrap();
-                    }
-                    SuggestReply::Finished(out) => {
-                        assert_eq!(out.evals, spec().budget);
-                        assert!(!out.cache_hit, "cold store cannot hit the selection cache");
-                        break;
-                    }
-                }
+        let s = session("s-3", InMemoryMemoStore::new().into_shared());
+        let mut last_index = None;
+        loop {
+            if s.step() {
+                break;
             }
-        });
+            let Ok(SuggestReply::Ask(ask)) = s.suggest(Duration::ZERO) else {
+                panic!("a step leaves an ask ready");
+            };
+            // Indexes are monotonic and double-suggest is typed.
+            if let Some(prev) = last_index {
+                assert_eq!(ask.index, prev + 1);
+            }
+            last_index = Some(ask.index);
+            let err = s.suggest(Duration::ZERO).unwrap_err();
+            assert_eq!(err.code, ErrorCode::SuggestionPending);
+            // A mismatched echo index is rejected, the right one lands.
+            let err = s.observe(Some(ask.index + 7), 10.0, ObservedStatus::Completed);
+            assert_eq!(err.unwrap_err().code, ErrorCode::InvalidField);
+            s.observe(Some(ask.index), 10.0, ObservedStatus::Completed).unwrap();
+        }
         assert_eq!(s.state(), SessionState::Finished);
+        let Ok(SuggestReply::Finished(out)) = s.suggest(Duration::ZERO) else {
+            panic!("a finished session answers its outcome");
+        };
+        assert_eq!(out.evals, spec().budget);
+        assert!(!out.cache_hit, "cold store cannot hit the selection cache");
+        assert!(!s.step(), "a finished session does not step");
         let stats = s.stats();
         assert_eq!(stats.asked, stats.observed);
         assert!(stats.observed > 0);
     }
 
     #[test]
-    fn close_mid_session_releases_the_worker() {
-        let s = ServedSession::new("s-4".into(), spec(), Arc::new(spark_space()));
+    fn close_mid_session_leaves_the_store_untouched() {
         let store = InMemoryMemoStore::new().into_shared();
-        std::thread::scope(|scope| {
-            let session = &s;
-            let worker = scope.spawn(move || session.run(store));
-            // Take one ask, then abandon the session.
-            loop {
-                match s.suggest(Duration::from_secs(30)).unwrap() {
-                    SuggestReply::Queued => std::thread::sleep(Duration::from_millis(2)),
-                    SuggestReply::Ask(_) => break,
-                    SuggestReply::Finished(_) => panic!("cannot finish after one ask"),
-                }
-            }
-            s.close();
-            worker.join().unwrap();
-        });
+        let s = session("s-4", store.clone());
+        // Take a few asks into selection sampling, then abandon.
+        for _ in 0..3 {
+            assert!(!s.step());
+            let Ok(SuggestReply::Ask(ask)) = s.suggest(Duration::ZERO) else {
+                panic!("a step leaves an ask ready");
+            };
+            s.observe(Some(ask.index), 10.0, ObservedStatus::Completed).unwrap();
+        }
+        assert!(s.close());
         assert_eq!(s.state(), SessionState::Closed);
-        let err = s.suggest(Duration::from_millis(1)).unwrap_err();
+        assert!(!s.step());
+        let err = s.suggest(Duration::ZERO).unwrap_err();
         assert_eq!(err.code, ErrorCode::SessionClosed);
-        // The cancelled cold run must not have polluted the shared store.
-        assert!(s.outcome().is_none() || s.state() == SessionState::Closed);
+        assert!(s.outcome().is_none());
+        assert!(store.workloads().is_empty(), "a closed session writes nothing");
     }
 }

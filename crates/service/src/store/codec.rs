@@ -10,7 +10,7 @@
 //! decodes to the canonical [`f64::NAN`].
 
 use super::crc32::crc32;
-use robotune::InMemoryMemoStore;
+use robotune::{memo_workloads, ConfigMemoBuffer, ParameterSelectionCache};
 use robotune_space::{Configuration, ParamValue};
 use serde_json::{Map, Value};
 
@@ -124,9 +124,24 @@ pub(crate) enum WalOp {
     },
 }
 
+/// A shard's in-memory state: the paper's two memoization structures,
+/// read and written under the shard's lock.
+#[derive(Debug, Default)]
+pub(crate) struct MemoTables {
+    pub(crate) cache: ParameterSelectionCache,
+    pub(crate) memo: ConfigMemoBuffer,
+}
+
+impl MemoTables {
+    /// Every workload key present in either structure, sorted.
+    pub(crate) fn workloads(&self) -> Vec<String> {
+        memo_workloads(&self.cache, &self.memo)
+    }
+}
+
 impl WalOp {
-    /// Applies the mutation to an in-memory store.
-    pub(crate) fn apply(&self, inner: &mut InMemoryMemoStore) {
+    /// Applies the mutation to a shard's tables.
+    pub(crate) fn apply(&self, inner: &mut MemoTables) {
         match self {
             WalOp::Sel { workload, names } => inner.cache.put_names(workload, names.clone()),
             WalOp::Cfg {
@@ -285,7 +300,7 @@ pub(crate) fn decode_record(line: &str) -> Result<WalRecord, String> {
 // --- Shard snapshots ----------------------------------------------------
 
 /// Encodes a shard's full state plus the LSN it is current through.
-pub(crate) fn encode_snapshot(inner: &InMemoryMemoStore, version: i64, lsn: u64) -> Value {
+pub(crate) fn encode_snapshot(inner: &MemoTables, version: i64, lsn: u64) -> Value {
     let mut selections = Map::new();
     for workload in inner.cache.workloads() {
         if let Some(names) = inner.cache.names(&workload) {
@@ -318,17 +333,17 @@ pub(crate) fn encode_snapshot(inner: &InMemoryMemoStore, version: i64, lsn: u64)
     Value::Object(snap)
 }
 
-/// Decodes a snapshot into a fresh in-memory store.
+/// Decodes a snapshot into fresh tables.
 ///
 /// Accepts both the v2 shard format and the legacy v1 root format
 /// (which had no `lsn`; it decodes as 0) so migration shares one path.
-pub(crate) fn decode_snapshot(snap: &Value) -> Result<(InMemoryMemoStore, u64), String> {
+pub(crate) fn decode_snapshot(snap: &Value) -> Result<(MemoTables, u64), String> {
     let version = snap.get("version").and_then(Value::as_i64).unwrap_or(-1);
     if version != 1 && version != 2 {
         return Err(format!("snapshot version {version} (want 1 or 2)"));
     }
     let lsn = snap.get("lsn").and_then(Value::as_u64).unwrap_or(0);
-    let mut inner = InMemoryMemoStore::new();
+    let mut inner = MemoTables::default();
     if let Some(sels) = snap.get("selections").and_then(Value::as_object) {
         for (workload, names) in sels.iter() {
             inner.cache.put_names(workload, decode_names(names)?);

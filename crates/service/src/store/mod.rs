@@ -643,7 +643,6 @@ pub fn inspect_store(dir: impl AsRef<Path>) -> Result<Value, String> {
                 .and_then(|t| serde_json::from_str(&t).map_err(|e| e.to_string()))
                 .and_then(|v| decode_snapshot(&v))
             {
-                use robotune::MemoStore;
                 snap_lsn = Value::from(lsn);
                 workloads = inner.workloads().len() as u64;
             }

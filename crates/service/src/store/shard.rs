@@ -1,15 +1,15 @@
-//! One shard of the persistent store: an in-memory store plus its own
+//! One shard of the persistent store: its memo tables plus their own
 //! snapshot file and segmented WAL, owned by exactly one lock in
 //! [`super::PersistentMemoStore`].
 
 use super::codec::{
     decode_record, decode_snapshot, encode_cfg, encode_record, encode_sel, encode_snapshot,
-    WalRecord,
+    MemoTables, WalRecord,
 };
 use super::crash;
 use super::segment::{list_segments, segment_file_name, SegmentReader, SegmentWriter};
 use super::{FORMAT_VERSION, SNAPSHOT_FILE};
-use robotune::{InMemoryMemoStore, MemoStore, ShardStatus};
+use robotune::ShardStatus;
 use robotune_space::Configuration;
 use serde_json::Value;
 use std::fs::{self, OpenOptions};
@@ -23,7 +23,7 @@ pub(crate) struct ShardCore {
     corrupt_dir: PathBuf,
     segment_max_bytes: u64,
     compact_after_sealed: u64,
-    inner: InMemoryMemoStore,
+    inner: MemoTables,
     writer: Option<SegmentWriter>,
     /// Sequence numbers of segment files currently on disk, ascending.
     live_segments: Vec<u64>,
@@ -58,7 +58,7 @@ impl ShardCore {
             corrupt_dir: corrupt_dir.to_path_buf(),
             segment_max_bytes,
             compact_after_sealed,
-            inner: InMemoryMemoStore::new(),
+            inner: MemoTables::default(),
             writer: None,
             live_segments: Vec::new(),
             next_seq: 1,
@@ -324,29 +324,29 @@ impl ShardCore {
     pub(crate) fn put_selection(&mut self, workload: &str, names: Vec<String>) {
         let payload = encode_sel(self.last_lsn + 1, workload, &names);
         self.journal(&payload);
-        self.inner.put_selection(workload, names);
+        self.inner.cache.put_names(workload, names);
     }
 
     pub(crate) fn record_config(&mut self, workload: &str, config: Configuration, time_s: f64) {
         let payload = encode_cfg(self.last_lsn + 1, workload, &config, time_s);
         self.journal(&payload);
-        self.inner.record_config(workload, config, time_s);
+        self.inner.memo.record(workload, config, time_s);
     }
 
     pub(crate) fn selection(&self, workload: &str) -> Option<Vec<String>> {
-        self.inner.selection(workload)
+        self.inner.cache.names(workload).map(<[String]>::to_vec)
     }
 
     pub(crate) fn best_recent(&self, workload: &str, n: usize) -> Vec<(Configuration, f64)> {
-        self.inner.best_recent(workload, n)
+        self.inner.memo.best_recent(workload, n)
     }
 
     pub(crate) fn has_selection(&self, workload: &str) -> bool {
-        self.inner.has_selection(workload)
+        self.inner.cache.contains(workload)
     }
 
     pub(crate) fn has_configs(&self, workload: &str) -> bool {
-        self.inner.has_configs(workload)
+        self.inner.memo.contains(workload)
     }
 
     pub(crate) fn workloads(&self) -> Vec<String> {

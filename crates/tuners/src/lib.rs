@@ -48,7 +48,7 @@ pub use gunther::Gunther;
 pub use objective::{Evaluation, FnObjective, Objective};
 pub use pattern::PatternSearch;
 pub use random::RandomSearch;
-pub use retry::{evaluate_with_retry, RetryPolicy};
+pub use retry::{evaluate_with_retry, RetryPolicy, RetryState};
 pub use session::{EvalRecord, TuningSession};
 pub use threshold::ThresholdPolicy;
 pub use tuner::Tuner;

@@ -59,6 +59,55 @@ impl Default for RetryPolicy {
     }
 }
 
+/// One evaluation's retry bookkeeping under a [`RetryPolicy`].
+///
+/// Feed it every attempt's outcome with [`RetryState::attempt`]: it
+/// answers `None` while the caller should run the same configuration
+/// again, and the final budget-charged [`Evaluation`] once the outcome
+/// stands. [`evaluate_with_retry`] is a loop over it; an ask/tell driver
+/// re-asks the configuration instead of looping.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RetryState {
+    policy: RetryPolicy,
+    burned_s: f64,
+    attempt: u32,
+}
+
+impl RetryState {
+    /// Starts an evaluation's first attempt.
+    pub fn new(policy: RetryPolicy) -> Self {
+        RetryState { policy, burned_s: 0.0, attempt: 1 }
+    }
+
+    /// Records one attempt's outcome. Returns the final evaluation — its
+    /// `time_s` includes every earlier attempt's burned time plus all
+    /// backoff sleeps, and `attempts` counts the runs — or `None` when
+    /// the failure was transient and attempts remain.
+    pub fn attempt(&mut self, eval: Evaluation) -> Option<Evaluation> {
+        if !(eval.failed && eval.transient) || self.attempt >= self.policy.max_attempts.max(1) {
+            if self.attempt > 1 {
+                robotune_obs::incr("retry.evals_retried", 1);
+                if eval.completed {
+                    robotune_obs::incr("retry.recovered", 1);
+                } else {
+                    robotune_obs::incr("retry.exhausted", 1);
+                }
+            }
+            return Some(Evaluation {
+                time_s: eval.time_s + self.burned_s,
+                attempts: self.attempt,
+                ..eval
+            });
+        }
+        let backoff = self.policy.backoff_s(self.attempt);
+        robotune_obs::incr("retry.attempt", 1);
+        robotune_obs::record("retry.backoff_s", backoff);
+        self.burned_s += eval.time_s + backoff;
+        self.attempt += 1;
+        None
+    }
+}
+
 /// Evaluates `config`, retrying transient failures under `policy`.
 ///
 /// The returned [`Evaluation`] is a single budget-charged record: its
@@ -72,31 +121,11 @@ pub fn evaluate_with_retry(
     cap_s: f64,
     policy: &RetryPolicy,
 ) -> Evaluation {
-    let max_attempts = policy.max_attempts.max(1);
-    let mut burned_s = 0.0;
-    let mut attempt = 1u32;
+    let mut state = RetryState::new(*policy);
     loop {
-        let eval = objective.evaluate(config, cap_s);
-        if !(eval.failed && eval.transient) || attempt >= max_attempts {
-            if attempt > 1 {
-                robotune_obs::incr("retry.evals_retried", 1);
-                if eval.completed {
-                    robotune_obs::incr("retry.recovered", 1);
-                } else {
-                    robotune_obs::incr("retry.exhausted", 1);
-                }
-            }
-            return Evaluation {
-                time_s: eval.time_s + burned_s,
-                attempts: attempt,
-                ..eval
-            };
+        if let Some(eval) = state.attempt(objective.evaluate(config, cap_s)) {
+            return eval;
         }
-        let backoff = policy.backoff_s(attempt);
-        robotune_obs::incr("retry.attempt", 1);
-        robotune_obs::record("retry.backoff_s", backoff);
-        burned_s += eval.time_s + backoff;
-        attempt += 1;
     }
 }
 
