@@ -59,7 +59,7 @@ fn bench_hyperfit(c: &mut Criterion) {
         g.bench_function(name, |b| {
             b.iter_batched(
                 || rng_from_seed(7),
-                |mut rng| fit_gp(&xs, &ys, &opts, &mut rng).expect("bench fit"),
+                |mut rng| fit_gp(&xs, &ys, &opts, None, &mut rng).expect("bench fit"),
                 BatchSize::SmallInput,
             );
         });

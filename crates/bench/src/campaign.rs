@@ -553,7 +553,7 @@ pub fn run_gp_campaign(cfg: &CampaignConfig) -> Result<Vec<SeriesSamples>, Strin
 
     let fit = time_ms(cfg.warmup, cfg.reps, || {
         let mut r = rng_from_seed(7);
-        if fit_gp(&xs, &ys, &HyperFitOptions::default(), &mut r).is_err() {
+        if fit_gp(&xs, &ys, &HyperFitOptions::default(), None, &mut r).is_err() {
             // A failed fit would make the timing meaningless; surface it
             // through the sample instead of panicking mid-campaign.
         }

@@ -82,10 +82,20 @@ pub fn run_session_rules(diag: &Value) -> Vec<Finding> {
     let fits = summary["gp_fits"].as_u64().unwrap_or(0);
     let fallbacks = summary["gp_fallbacks"].as_u64().unwrap_or(0);
     if fits >= FALLBACK_MIN_FITS && fallbacks as f64 > FALLBACK_RATIO * fits as f64 {
+        let warm = diag["series"]["diag.gp.fit"].as_array().map_or(0, |fits| {
+            fits.iter()
+                .filter(|p| {
+                    p["fallback"].as_bool() == Some(true) && p["warm"].as_bool() == Some(true)
+                })
+                .count()
+        });
         findings.push(Finding {
             rule: "fallback_storm",
             severity: Severity::Critical,
-            message: format!("{fallbacks} of {fits} GP fits fell back to default hyperparameters"),
+            message: format!(
+                "{fallbacks} of {fits} GP fits fell back to default hyperparameters \
+                 ({warm} of them warm-started from the previous fit)"
+            ),
         });
     }
 
@@ -437,6 +447,19 @@ mod tests {
         let findings = run_session_rules(&diag);
         assert_eq!(rules_fired(&findings, "fallback_storm"), vec![Severity::Critical]);
         assert_eq!(findings.len(), 1);
+        assert!(findings[0].message.contains("(0 of them warm-started"), "{findings:?}");
+        // The message counts the warm fits among the fallbacks.
+        let fits = Value::Array(vec![
+            json!({ "fallback": true, "warm": false }),
+            json!({ "fallback": true, "warm": true }),
+            json!({ "fallback": false, "warm": true }),
+        ]);
+        let warm = json!({
+            "summary": diag["summary"].clone(),
+            "series": json!({ "diag.gp.fit": fits }),
+        });
+        let findings = run_session_rules(&warm);
+        assert!(findings[0].message.contains("(1 of them warm-started"), "{findings:?}");
         // Below the minimum sample size the rule stays quiet.
         let few = diag_payload(serde_json::json!({ "gp_fits": 2u64, "gp_fallbacks": 2u64 }), &[]);
         assert!(rules_fired(&run_session_rules(&few), "fallback_storm").is_empty());

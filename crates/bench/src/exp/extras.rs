@@ -148,7 +148,7 @@ pub fn ard_kernel(reps: usize) -> String {
         // A 50-point LHS training set fits in practice; degrade to NaN
         // scores (which propagate into the table) rather than panic.
         let (Ok(iso), Ok(ard)) = (
-            fit_gp(&xtr, &ytr, &HyperFitOptions::default(), &mut rng),
+            fit_gp(&xtr, &ytr, &HyperFitOptions::default(), None, &mut rng),
             fit_gp_ard(&xtr, &ytr, &HyperFitOptions::default(), &mut rng),
         ) else {
             return (f64::NAN, f64::NAN);

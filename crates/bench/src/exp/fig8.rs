@@ -3,7 +3,8 @@
 //! clusters samples in a promising region while still probing elsewhere;
 //! the baselines scatter without a pattern — is quantified here as the
 //! fraction of evaluations falling inside a neighbourhood of the
-//! session's own best point, and the raw scatter is exported as CSV.
+//! session's own best region (the median of its fastest runs), and the
+//! raw scatter is exported as CSV.
 
 use robotune_space::spark::names;
 use robotune_space::spark::spark_space;
@@ -11,6 +12,9 @@ use robotune_sparksim::{Dataset, Workload};
 
 use crate::exp::grid::GridResults;
 use crate::report::{fatal, markdown_table};
+
+/// How many of a session's fastest completed runs locate its centre.
+const CENTRE_RUNS: usize = 5;
 
 /// Scatter rows: `(cores, memory_gb, time_s, completed)` per evaluation.
 pub fn scatter(grid: &GridResults, tuner: &str) -> Vec<(i64, f64, f64, bool)> {
@@ -50,20 +54,28 @@ pub fn render(grid: &GridResults) -> (String, Vec<(String, String)>) {
         if pts.is_empty() {
             continue;
         }
-        // Best completed point of this tuner's own session.
-        let best = pts
-            .iter()
-            .filter(|p| p.3)
-            .min_by(|a, b| a.2.total_cmp(&b.2))
-            .copied();
-        let (concentration, median_dist) = best
-            .map(|(bc, bm, _, _)| {
+        // Centre: the component-wise log₂ median of the session's five
+        // fastest completed runs, so a near-tie for the single best run
+        // cannot move it across the plane.
+        let mut fastest: Vec<_> = pts.iter().filter(|p| p.3).collect();
+        fastest.sort_by(|a, b| a.2.total_cmp(&b.2));
+        fastest.truncate(CENTRE_RUNS);
+        let centre = (!fastest.is_empty()).then(|| {
+            let cores: Vec<f64> = fastest.iter().map(|p| (p.0 as f64).log2()).collect();
+            let memory: Vec<f64> = fastest.iter().map(|p| p.1.log2()).collect();
+            (
+                robotune_stats::median(&cores),
+                robotune_stats::median(&memory),
+            )
+        });
+        let (concentration, median_dist) = centre
+            .map(|(lc, lm)| {
                 let dists: Vec<f64> = pts
                     .iter()
                     .map(|(c, m, _, _)| {
                         // log₂ distance in the (cores, memory) plane.
-                        let dc = (*c as f64 / bc as f64).log2();
-                        let dm = (m / bm).log2();
+                        let dc = (*c as f64).log2() - lc;
+                        let dm = m.log2() - lm;
                         (dc * dc + dm * dm).sqrt()
                     })
                     .collect();
@@ -89,12 +101,19 @@ pub fn render(grid: &GridResults) -> (String, Vec<(String, String)>) {
     let mut md = String::from(
         "## Figure 8 — sampling behaviour in the cores-vs-memory plane (PR-D3)\n\n\
          Concentration = fraction of a session's samples within a 0.75-\n\
-         octave radius of its best point in the log₂ (cores, memory)\n\
-         plane. Paper: ROBOTune exploits a region while the others\n\
+         octave radius of its centre in the log₂ (cores, memory) plane.\n\
+         The centre is the component-wise log₂ median of the session's\n\
+         5 fastest completed runs, so a near-tie for the best run cannot\n\
+         move it. Paper: ROBOTune exploits a region while the others\n\
          scatter without a discernible pattern.\n\n",
     );
     md.push_str(&markdown_table(
-        &["tuner", "concentration", "median log₂ dist to best", "samples"],
+        &[
+            "tuner",
+            "concentration",
+            "median log₂ dist to centre",
+            "samples",
+        ],
         &rows,
     ));
     md.push_str("\nScatter data: results/fig8_<tuner>.csv\n");

@@ -83,7 +83,9 @@ pub struct BoEngine {
     /// Nominees of the previous round, awaiting their Hedge reward.
     pending_nominees: Option<[Vec<f64>; 3]>,
     model: Option<GpModel<Matern52>>,
-    /// Kernel hyperparameters carried between full refits.
+    /// Kernel and noise of the last hyperfit (the documented fallback
+    /// values when it fell back): the cheap refits' hyperparameters and
+    /// the next hyperfit's warm start.
     kernel_cache: Option<(Matern52, f64)>,
     observations_at_last_hyperfit: usize,
 }
@@ -211,25 +213,34 @@ impl BoEngine {
     /// Fits (or refits) the GP over the current data. On failure the model
     /// stays `None` and the caller degrades to a random suggestion — a
     /// degenerate surrogate must never abort the session.
+    ///
+    /// Between hyperfits the model is a cheap Cholesky refit at the cached
+    /// hyperparameters. A hyperfit runs when `refit_every` new observations
+    /// have arrived, or when the cheap refit fails to factor; every one
+    /// after the first starts warm from the cached hyperparameters, and
+    /// every successful one replaces them.
     fn ensure_model<R: Rng + ?Sized>(&mut self, rng: &mut R) {
         if self.model.is_some() {
             return;
         }
-        let need_hyperfit = self.kernel_cache.is_none()
-            || self.ys.len() >= self.observations_at_last_hyperfit + self.opts.refit_every;
-        let fitted = if need_hyperfit {
-            fit_gp(&self.xs, &self.ys, &self.opts.hyper, rng).inspect(|m| {
-                self.kernel_cache = Some((*m.kernel(), m.noise()));
-                self.observations_at_last_hyperfit = self.ys.len();
-            })
-        } else if let Some((kernel, noise)) = self.kernel_cache {
-            // Cheap Cholesky refit with cached hyperparameters; fall back
-            // to a full hyperparameter fit if the cache went stale enough
-            // to stop factoring.
-            GpModel::fit(self.xs.clone(), &self.ys, kernel, noise)
-                .or_else(|_| fit_gp(&self.xs, &self.ys, &self.opts.hyper, rng))
-        } else {
-            fit_gp(&self.xs, &self.ys, &self.opts.hyper, rng)
+        let due = self.ys.len() >= self.observations_at_last_hyperfit + self.opts.refit_every;
+        let cheap = match self.kernel_cache {
+            Some((kernel, noise)) if !due => {
+                GpModel::fit(self.xs.clone(), &self.ys, kernel, noise).ok()
+            }
+            _ => None,
+        };
+        let fitted = match cheap {
+            Some(m) => Ok(m),
+            None => {
+                let warm = self
+                    .kernel_cache
+                    .map(|(k, noise)| [k.length_scale.ln(), k.variance.ln(), noise.ln()]);
+                fit_gp(&self.xs, &self.ys, &self.opts.hyper, warm, rng).inspect(|m| {
+                    self.kernel_cache = Some((*m.kernel(), m.noise()));
+                    self.observations_at_last_hyperfit = self.ys.len();
+                })
+            }
         };
         match fitted {
             Ok(m) => self.model = Some(m),

@@ -118,7 +118,7 @@ fn posterior(workload: Workload, dataset: Dataset, dim: usize, n: usize, seed: u
         })
         .collect();
     let best = y.iter().copied().fold(f64::INFINITY, f64::min);
-    let model = fit_gp(&x, &y, &HyperFitOptions::default(), &mut rng).expect("fit");
+    let model = fit_gp(&x, &y, &HyperFitOptions::default(), None, &mut rng).expect("fit");
     Posterior {
         label: format!("{workload:?}-{dataset:?} dim={dim} n={n} seed={seed}"),
         model,

@@ -38,7 +38,13 @@ static FIT_SEQ: AtomicU64 = AtomicU64::new(0);
 /// numerical conditioning (jitter consumed, condition estimate) and
 /// whether the documented fallback values had to be used. Free when
 /// tracing is disabled.
-fn emit_fit_diag<K: Kernel>(scales: &[f64], variance: f64, fallback: bool, m: &GpModel<K>) {
+fn emit_fit_diag<K: Kernel>(
+    scales: &[f64],
+    variance: f64,
+    fallback: bool,
+    warm: bool,
+    m: &GpModel<K>,
+) {
     if !robotune_obs::is_enabled() {
         return;
     }
@@ -52,6 +58,7 @@ fn emit_fit_diag<K: Kernel>(scales: &[f64], variance: f64, fallback: bool, m: &G
             "jitter": m.jitter(),
             "cond": m.cond_estimate(),
             "fallback": fallback,
+            "warm": warm,
         })
     });
 }
@@ -82,6 +89,9 @@ pub enum FitStrategy {
 #[derive(Debug, Clone)]
 pub struct HyperFitOptions {
     /// Number of random restarts in addition to the default start point.
+    /// A warm [`fit_gp`] (one given the previous fit's hyperparameters)
+    /// starts from those instead of the default point and draws one
+    /// random restart, or none when this is 0.
     pub restarts: usize,
     /// Likelihood evaluation budget per restart (a cap: a restart usually
     /// converges well before it).
@@ -121,19 +131,34 @@ fn log_param_bounds(opts: &HyperFitOptions, dim_scales: usize) -> Vec<(f64, f64)
     b
 }
 
-/// The default start point followed by `opts.restarts` uniform draws
-/// from the box, all taken from `rng` before any fitting work.
+/// The start points of one fit, all taken from `rng` before any fitting
+/// work. A cold fit (`warm` is `None`) starts from the default point plus
+/// `opts.restarts` uniform draws from the box; a warm fit from `warm`
+/// clamped into the box plus at most one draw.
 fn draw_starts<R: Rng + ?Sized>(
     bounds: &[(f64, f64)],
     opts: &HyperFitOptions,
+    warm: Option<&[f64]>,
     rng: &mut R,
 ) -> Vec<Vec<f64>> {
-    let dim_scales = bounds.len() - 2;
-    let mut start = vec![(0.5f64).ln(); dim_scales];
-    start.push(0.0);
-    start.push((1e-3f64).ln());
+    let (start, draws) = match warm {
+        Some(theta) => (
+            theta
+                .iter()
+                .zip(bounds)
+                .map(|(&t, &(lo, hi))| t.clamp(lo, hi))
+                .collect(),
+            opts.restarts.min(1),
+        ),
+        None => {
+            let mut start = vec![(0.5f64).ln(); bounds.len() - 2];
+            start.push(0.0);
+            start.push((1e-3f64).ln());
+            (start, opts.restarts)
+        }
+    };
     let mut starts = vec![start];
-    for _ in 0..opts.restarts {
+    for _ in 0..draws {
         starts.push(
             bounds
                 .iter()
@@ -268,15 +293,21 @@ fn fit_or_fallback<K: crate::prepared::CachedKernel>(
 /// no optimised candidate can be factored, and to a typed [`GpError`],
 /// never a panic, when even the fallback cannot be factored or the inputs
 /// are unusable (empty set, NaN targets).
+///
+/// `warm` is the previous fit's `[log ℓ, log σ², log σ_n²]` when the
+/// caller refits a training set grown by a few points, whose optimum is
+/// rarely far from the last one; the fit then starts there (see
+/// [`HyperFitOptions::restarts`]). `None` is a cold fit.
 pub fn fit_gp<R: Rng + ?Sized>(
     x: &[Vec<f64>],
     y: &[f64],
     opts: &HyperFitOptions,
+    warm: Option<[f64; 3]>,
     rng: &mut R,
 ) -> Result<GpModel<Matern52>, GpError> {
     let _span = robotune_obs::span("gp.hyperfit");
     let bounds = log_param_bounds(opts, 1);
-    let starts = draw_starts(&bounds, opts, rng);
+    let starts = draw_starts(&bounds, opts, warm.as_ref().map(|t| t.as_slice()), rng);
     let data = PreparedData::prepare(x.to_vec(), y)?;
     let parallel = opts.strategy == FitStrategy::Parallel;
     let theta = best_restart(&data, &starts, &bounds, parallel, opts.evals_per_restart);
@@ -287,15 +318,16 @@ pub fn fit_gp<R: Rng + ?Sized>(
         Matern52::new(FALLBACK_LENGTH_SCALE, FALLBACK_VARIANCE),
     );
     if let Ok(m) = &fitted {
-        emit_fit_diag(&[m.kernel().length_scale], m.kernel().variance, fallback, m);
+        let k = m.kernel();
+        emit_fit_diag(&[k.length_scale], k.variance, fallback, warm.is_some(), m);
     }
     fitted
 }
 
 /// Fits an ARD Matérn 5/2 + white-noise GP with ML-II hyperparameters:
 /// `d` log length scales plus log variance and log noise, optimised like
-/// [`fit_gp`] from the same kind of starts. Uses the same distance cache,
-/// parallel restarts, documented fallback values and
+/// a cold [`fit_gp`] from the same kind of starts. Uses the same distance
+/// cache, parallel restarts, documented fallback values and
 /// `gp.hyperfit_fallback` accounting. Degenerate inputs yield a typed
 /// [`GpError`], never a panic.
 pub fn fit_gp_ard<R: Rng + ?Sized>(
@@ -317,7 +349,7 @@ pub fn fit_gp_ard<R: Rng + ?Sized>(
         ));
     }
     let bounds = log_param_bounds(opts, d);
-    let starts = draw_starts(&bounds, opts, rng);
+    let starts = draw_starts(&bounds, opts, None, rng);
     let data = PreparedData::prepare_ard(x.to_vec(), y)?;
     // ARD has d+2 parameters; scale the evaluation budget with dimension.
     let evals = opts.evals_per_restart * (1 + d / 2);
@@ -330,7 +362,8 @@ pub fn fit_gp_ard<R: Rng + ?Sized>(
         Matern52Ard::new(vec![FALLBACK_LENGTH_SCALE; d], FALLBACK_VARIANCE),
     );
     if let Ok(m) = &fitted {
-        emit_fit_diag(&m.kernel().length_scales, m.kernel().variance, fallback, m);
+        let k = m.kernel();
+        emit_fit_diag(&k.length_scales, k.variance, fallback, false, m);
     }
     fitted
 }
@@ -345,7 +378,7 @@ mod tests {
         let x: Vec<Vec<f64>> = (0..20).map(|i| vec![i as f64 / 19.0]).collect();
         let y: Vec<f64> = x.iter().map(|p| (p[0] * 9.0).sin() * 2.0).collect();
         let mut rng = rng_from_seed(1);
-        let fitted = fit_gp(&x, &y, &HyperFitOptions::default(), &mut rng).expect("fit");
+        let fitted = fit_gp(&x, &y, &HyperFitOptions::default(), None, &mut rng).expect("fit");
         let clumsy = GpModel::fit(x.clone(), &y, Matern52::new(5.0, 0.1), 0.5).unwrap();
         assert!(
             fitted.log_marginal_likelihood() > clumsy.log_marginal_likelihood(),
@@ -359,7 +392,7 @@ mod tests {
         let f = |t: f64| (t * 7.0).sin() + 0.3 * t;
         let y: Vec<f64> = x.iter().map(|p| f(p[0])).collect();
         let mut rng = rng_from_seed(2);
-        let m = fit_gp(&x, &y, &HyperFitOptions::default(), &mut rng).expect("fit");
+        let m = fit_gp(&x, &y, &HyperFitOptions::default(), None, &mut rng).expect("fit");
         for q in [0.13, 0.47, 0.81] {
             let (mu, _) = m.predict(&[q]);
             assert!((mu - f(q)).abs() < 0.1, "at {q}: {mu} vs {}", f(q));
@@ -374,7 +407,7 @@ mod tests {
             .iter()
             .map(|p| p[0] * 2.0 + 0.3 * robotune_stats::standard_normal(&mut rng))
             .collect();
-        let m = fit_gp(&x, &y, &HyperFitOptions::default(), &mut rng).expect("fit");
+        let m = fit_gp(&x, &y, &HyperFitOptions::default(), None, &mut rng).expect("fit");
         assert!(m.noise() > 1e-4, "noise estimate {} too small", m.noise());
     }
 
@@ -404,7 +437,7 @@ mod tests {
             .collect();
         // Fast variation along x0, slow along x1.
         let y: Vec<f64> = x.iter().map(|p| (p[0] * 12.0).sin() + 0.3 * p[1]).collect();
-        let iso = fit_gp(&x, &y, &HyperFitOptions::default(), &mut rng).expect("fit");
+        let iso = fit_gp(&x, &y, &HyperFitOptions::default(), None, &mut rng).expect("fit");
         let ard = fit_gp_ard(&x, &y, &HyperFitOptions::default(), &mut rng).expect("fit");
         assert!(
             ard.log_marginal_likelihood() >= iso.log_marginal_likelihood() - 1.0,
@@ -425,7 +458,7 @@ mod tests {
             .iter()
             .map(|p| p[0] * 3.0 - p[1] + (p[2] * 4.0).cos())
             .collect();
-        let m = fit_gp(&x, &y, &HyperFitOptions::default(), &mut rng).expect("fit");
+        let m = fit_gp(&x, &y, &HyperFitOptions::default(), None, &mut rng).expect("fit");
         // Sanity: posterior at a training point tracks its target.
         let (mu, _) = m.predict(&x[0]);
         assert!((mu - y[0]).abs() < 0.5);
@@ -446,7 +479,7 @@ mod tests {
             log_noise_bounds: (-40.0, -39.0),
             ..HyperFitOptions::default()
         };
-        match fit_gp(&x, &y, &opts, &mut rng) {
+        match fit_gp(&x, &y, &opts, None, &mut rng) {
             Ok(m) => {
                 let (mu, var) = m.predict(&[0.25, 0.75]);
                 assert!(mu.is_finite() && var.is_finite());
@@ -463,7 +496,7 @@ mod tests {
         let mut rng = rng_from_seed(1);
         let r = fit_gp_ard(&[], &[], &HyperFitOptions::default(), &mut rng);
         assert!(matches!(r, Err(GpError::InvalidInput(_))));
-        let r = fit_gp(&[], &[], &HyperFitOptions::default(), &mut rng);
+        let r = fit_gp(&[], &[], &HyperFitOptions::default(), None, &mut rng);
         assert!(matches!(r, Err(GpError::InvalidInput(_))));
     }
 
@@ -501,7 +534,7 @@ mod tests {
                     strategy,
                     ..opts.clone()
                 };
-                let iso = fit_gp(x, y, &opts, &mut rng_from_seed(3));
+                let iso = fit_gp(x, y, &opts, None, &mut rng_from_seed(3));
                 let ard = fit_gp_ard(x, y, &opts, &mut rng_from_seed(3));
                 let iso_bits = iso.as_ref().map(|m| {
                     [m.kernel().length_scale, m.kernel().variance, m.noise()].map(f64::to_bits)
@@ -587,7 +620,7 @@ mod tests {
                 strategy,
                 ..HyperFitOptions::default()
             };
-            fit_gp(&x, &y, &opts, &mut rng).expect("fit")
+            fit_gp(&x, &y, &opts, None, &mut rng).expect("fit")
         };
         let serial = fit_with(FitStrategy::Serial);
         for strategy in [FitStrategy::Serial, FitStrategy::Parallel] {

@@ -123,22 +123,22 @@ fn robotune_cold_then_warm_session_is_pinned() {
 const BO_SEED: u64 = 11;
 const BO_Y_BITS: &[u64] = &[
     0x3fda21e9bf4920cc, 0x3fa509dfb2c29d69, 0x3fa224cd5f0eb82d,
-    0x3f9a94a4ee48c0b4, 0x3fd213816aead4e3, 0x3f993e517baddaea,
-    0x3f99bf6ad3a002f0, 0x3fda3dab8868e821, 0x3fe3863a5d0260e6,
-    0x3f99186dda48ad6c, 0x3f9673e88ce1b778, 0x3f96225002c7cfd4,
-    0x3f96a520b082b907, 0x3f96211ef4a1eeae, 0x3f966a3007f79ea9,
-    0x3f962dc73f0d7136, 0x3f966a5a15d3a05a, 0x3f9615db6b0a96e2,
-    0x3f969799fe00a798, 0x3f9640caad1665b8, 0x3f96759ec4e28e16,
-    0x3f961d3a9155acaa, 0x3f96726d152b4b3a, 0x3f9637156a3f3822,
-    0x3f96662526d09c78, 0x3f961c13e9da5d7e, 0x3f965486e1709ac7,
-    0x3f96722d23776914, 0x3f9656a0537972d7, 0x3f96357a4ea412dc,
+    0x3f9a94a4ee48c0b4, 0x3fd213816aead4e3, 0x3f993e519aaf157b,
+    0x3f99bf8bb04a9082, 0x3fda3dabb393cd77, 0x3fe819e6f4b1ec3a,
+    0x3f98839d7a30ef39, 0x3fdc2902d041c750, 0x3f9674598e47b259,
+    0x3f961692e75915f8, 0x3f971773e6c5e7e0, 0x3f961e305aa42d79,
+    0x3f9637f9092723ac, 0x3f963133b1f1dfd9, 0x3f960dae482970d6,
+    0x3f967bc8e8fa242e, 0x3f961a0dc5d7d8aa, 0x3f9671a57c582dae,
+    0x3f964d9ff3400ecf, 0x3f967f6c6b94c41c, 0x3f9617a3a19cdb5f,
+    0x3f964f7e2f5d046f, 0x3f966bb856b3feec, 0x3f96144a9f63d344,
+    0x3f966d4745af54e6, 0x3f964c106abb2b9c, 0x3f966cf76fb7a531,
 ];
 /// FNV-1a over every suggested point.
-const BO_POINTS_FNV: u64 = 0xd26fd9e7efd22b68;
+const BO_POINTS_FNV: u64 = 0x423c1ddf2e1855a3;
 /// FNV-1a over the final model's posterior (mean, variance) bits on a
 /// fixed grid. Trajectories only move when a changed bit flips a
 /// comparison; this catches the changed bit itself.
-const BO_POSTERIOR_FNV: u64 = 0xe549713d89e08b32;
+const BO_POSTERIOR_FNV: u64 = 0xfde5ba3b4a59a50e;
 
 /// The pinned loop under `opts`: the suggested points and the observed
 /// values' bits, and the engine after it.
