@@ -24,14 +24,11 @@
 //!                     [--validate FILE] [--tolerance PCT]
 //! experiments serve   [--port N] [--store DIR] [--workers N] [--queue N]
 //!                     [--dispatch N] [--flight-dir DIR] [--no-telemetry]
-//! experiments loadgen [--addr HOST:PORT] [--tenants N] [--budget N]
-//!                     [--seed N] [--shutdown] [--expect-warm]
-//!                     [--faults none|transient|hostile]
-//! experiments loadgen --open-loop [--addr HOST:PORT] [--tenants N]
-//!                     [--rate R] [--hold S] [--budget N] [--poll-ms N]
-//!                     [--seed N] [--slo-suggest-p99-ms MS]
-//!                     [--slo-observe-p99-ms MS] [--shutdown]
-//!                     [--json PATH]
+//! experiments loadgen [--addr HOST:PORT] [--tenants N] [--rate R]
+//!                     [--hold S] [--budget N] [--poll-ms N] [--seed N]
+//!                     [--faults none|transient|hostile] [--expect-warm]
+//!                     [--slo-suggest-p99-ms MS] [--slo-observe-p99-ms MS]
+//!                     [--shutdown] [--json PATH]
 //! experiments top     [--addr HOST:PORT] [--interval-ms N] [--once]
 //! experiments doctor  [--addr HOST:PORT] [--session ID]... [--json]
 //!                     [--expect RULE]... [--slo-ms MS]
@@ -130,7 +127,7 @@ fn main() {
     let rest = argv.get(1..).unwrap_or(&[]);
     match cmd {
         "bench" => std::process::exit(robotune_bench::campaign::bench_main(rest)),
-        "serve" => std::process::exit(robotune_bench::loadgen::serve_main(rest)),
+        "serve" => std::process::exit(robotune_bench::serve::serve_main(rest)),
         "loadgen" => std::process::exit(robotune_bench::loadgen::loadgen_main(rest)),
         "top" => std::process::exit(robotune_bench::introspect::top_main(rest)),
         "doctor" => std::process::exit(robotune_bench::doctor::doctor_main(rest)),
@@ -230,8 +227,7 @@ fn dispatch(cmd: &str, args: &Args) {
                  [--reps N] [--budget N] [--out DIR] [--trace FILE] [--profile FILE] [--faults none|transient|hostile]\n\
                  \x20      experiments bench [--quick] [--reps N] [--out DIR] [--campaign NAME] [--check --baseline FILE [--manifest FILE]] [--validate FILE] [--tolerance PCT]\n\
                  \x20      experiments serve [--port N] [--store DIR] [--workers N] [--queue N] [--dispatch N] [--flight-dir DIR] [--no-telemetry]\n\
-                 \x20      experiments loadgen [--addr HOST:PORT] [--tenants N] [--budget N] [--seed N] [--shutdown] [--expect-warm] [--faults none|transient|hostile]\n\
-                 \x20      experiments loadgen --open-loop [--addr HOST:PORT] [--tenants N] [--rate R] [--hold S] [--budget N] [--poll-ms N] [--seed N] [--slo-suggest-p99-ms MS] [--slo-observe-p99-ms MS] [--shutdown]\n\
+                 \x20      experiments loadgen [--addr HOST:PORT] [--tenants N] [--rate R] [--hold S] [--budget N] [--poll-ms N] [--seed N] [--faults none|transient|hostile] [--expect-warm] [--slo-suggest-p99-ms MS] [--slo-observe-p99-ms MS] [--shutdown] [--json PATH]\n\
                  \x20      experiments top [--addr HOST:PORT] [--interval-ms N] [--once]\n\
                  \x20      experiments store <inspect|verify|compact> --dir PATH\n\
                  \x20      experiments flightcheck <flight.jsonl>..."

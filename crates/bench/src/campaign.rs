@@ -8,12 +8,14 @@
 //!   256-query batched/pointwise posterior, the same shapes as the
 //!   `gp_hotpath` Criterion harness but with warmup + fixed repetitions
 //!   and robust statistics so the numbers are comparable across runs;
-//! - **end-to-end tuner sessions** — wall-clock time of full ROBOTune
-//!   and Random Search sessions over the simulator via [`crate::runner`];
 //! - **multi-fidelity sessions** — Hyperband+BO wall-clock plus the
 //!   simulated `mf.cost_to_target_s` trajectory metric;
-//! - **service verbs** — an in-process `serve` + loadgen pass measuring
-//!   per-request `suggest`/`observe` round-trip latency and throughput.
+//! - **store contention** — concurrent writers against a single-stripe
+//!   and the default sharded persistent store.
+//!
+//! Whole tuner sessions and served verbs are measured end to end by the
+//! repository benchmark (`perfbench/`: `tune-paper`, `serve-bo`,
+//! `serve-slow`), so no campaign group times them a second way.
 //!
 //! Every series is summarised by median / MAD / p95 after MAD-based
 //! outlier rejection (`robotune_stats`), so one scheduler hiccup cannot
@@ -23,22 +25,19 @@
 //! exits non-zero on regression, which is how future PRs are judged
 //! against the committed `BENCH_baseline.json`.
 
-use std::net::TcpListener;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use rand::Rng;
-use robotune::InMemoryMemoStore;
 use robotune_bo::{BoEngine, BoOptions};
 use robotune_gp::{fit_gp, GpModel, HyperFitOptions, Matern52};
-use robotune_service::{serve, PersistentMemoStore, ServiceOptions, SessionManager, StoreOptions, TuningClient};
+use robotune_service::{PersistentMemoStore, StoreOptions};
 use robotune_sparksim::{Dataset, Workload};
 use robotune_stats::{mad, median, percentile, reject_outliers, rng_from_seed};
 use serde_json::{json, Value};
 
-use crate::loadgen::{run_loadgen, LoadgenArgs};
 use crate::report::{fatal, markdown_table};
-use crate::runner::{run_baseline, run_mf, run_robotune_sequence, MfKind, TunerKind};
+use crate::runner::{run_mf, MfKind};
 
 /// Manifest discriminator (`"kind"` field).
 pub const MANIFEST_KIND: &str = "robotune-bench-manifest";
@@ -159,7 +158,7 @@ impl MachineInfo {
 
 /// Renders one summarised series in the manifest's metric-series
 /// shape. Shared by the manifest writer and every other machine-read
-/// report that records metric series (e.g. `loadgen --open-loop`'s
+/// report that records metric series (e.g. `loadgen --json`'s
 /// `openloop.json`), so downstream tooling parses one schema.
 pub fn series_to_json(s: &SeriesSummary) -> Value {
     json!({
@@ -436,16 +435,10 @@ pub struct CampaignConfig {
     pub gp_obs: usize,
     /// Posterior query batch size.
     pub gp_queries: usize,
-    /// Timed repetitions per tuner-session series.
+    /// Timed repetitions per multi-fidelity session series.
     pub tuner_reps: usize,
-    /// Evaluation budget per tuner session.
+    /// Evaluation budget per multi-fidelity session.
     pub tuner_budget: usize,
-    /// Concurrent tenants per service round.
-    pub service_tenants: usize,
-    /// Ask/tell budget per tenant.
-    pub service_budget: usize,
-    /// Loadgen rounds (one throughput sample each).
-    pub service_rounds: usize,
     /// Writer threads hammering the persistent store concurrently.
     pub store_threads: usize,
     /// Store operations per writer thread.
@@ -465,9 +458,6 @@ impl CampaignConfig {
             gp_queries: 256,
             tuner_reps: 5,
             tuner_budget: 20,
-            service_tenants: 6,
-            service_budget: 6,
-            service_rounds: 3,
             store_threads: 8,
             store_ops: 2000,
             store_rounds: 3,
@@ -482,9 +472,6 @@ impl CampaignConfig {
             reps: 5,
             tuner_reps: 2,
             tuner_budget: 10,
-            service_tenants: 4,
-            service_budget: 4,
-            service_rounds: 2,
             store_threads: 4,
             store_ops: 500,
             store_rounds: 2,
@@ -502,9 +489,6 @@ impl CampaignConfig {
             gp_queries: 16,
             tuner_reps: 1,
             tuner_budget: 4,
-            service_tenants: 2,
-            service_budget: 3,
-            service_rounds: 1,
             store_threads: 2,
             store_ops: 50,
             store_rounds: 1,
@@ -609,48 +593,6 @@ pub fn run_gp_campaign(cfg: &CampaignConfig) -> Result<Vec<SeriesSamples>, Strin
     ])
 }
 
-/// End-to-end tuner-session campaign: wall-clock time of one full
-/// ROBOTune sequence (selection + BO) and one Random Search session on
-/// PageRank/D1.
-pub fn run_tuner_campaign(cfg: &CampaignConfig) -> Result<Vec<SeriesSamples>, String> {
-    let mut robo = Vec::with_capacity(cfg.tuner_reps);
-    let mut rs = Vec::with_capacity(cfg.tuner_reps);
-    for rep in 0..cfg.tuner_reps {
-        let t = Instant::now();
-        let results = run_robotune_sequence(
-            Workload::PageRank,
-            &[Dataset::D1],
-            cfg.tuner_budget,
-            rep,
-            robotune::RoboTuneOptions::fast(),
-        );
-        robo.push(t.elapsed().as_secs_f64() * 1e3);
-        if results.is_empty() {
-            return Err("campaign: empty ROBOTune session".into());
-        }
-        let t = Instant::now();
-        let r = run_baseline(TunerKind::RandomSearch, Workload::PageRank, Dataset::D1, cfg.tuner_budget, rep);
-        rs.push(t.elapsed().as_secs_f64() * 1e3);
-        if r.session.len() != cfg.tuner_budget {
-            return Err("campaign: short RS session".into());
-        }
-    }
-    Ok(vec![
-        SeriesSamples {
-            name: "tuner.robotune_session_ms",
-            unit: "ms",
-            direction: Direction::Lower,
-            samples: robo,
-        },
-        SeriesSamples {
-            name: "tuner.random_search_session_ms",
-            unit: "ms",
-            direction: Direction::Lower,
-            samples: rs,
-        },
-    ])
-}
-
 /// Multi-fidelity tuner campaign: one warm-started Hyperband+BO session
 /// per rep on TeraSort/D1. Two series: session wall-clock, and the
 /// *simulated* evaluation cost charged until the session first lands
@@ -691,105 +633,6 @@ pub fn run_mf_campaign(cfg: &CampaignConfig) -> Result<Vec<SeriesSamples>, Strin
             unit: "s",
             direction: Direction::Lower,
             samples: cost,
-        },
-    ])
-}
-
-/// Service-verb campaign: boots an in-process daemon on an OS-assigned
-/// loopback port, drives `service_rounds` loadgen passes through real
-/// TCP sessions, and collects per-request suggest/observe latencies plus
-/// one throughput sample per round.
-pub fn run_service_campaign(cfg: &CampaignConfig) -> Result<Vec<SeriesSamples>, String> {
-    let store = InMemoryMemoStore::new().into_shared();
-    let manager = SessionManager::new(
-        ServiceOptions {
-            workers: cfg.service_tenants.max(2),
-            queue_capacity: 64,
-            ..ServiceOptions::default()
-        },
-        store,
-    );
-    let listener =
-        TcpListener::bind(("127.0.0.1", 0)).map_err(|e| format!("campaign: bind: {e}"))?;
-    let addr = listener.local_addr().map_err(|e| format!("campaign: local_addr: {e}"))?;
-
-    let mut suggest = Vec::new();
-    let mut observe = Vec::new();
-    let mut throughput = Vec::with_capacity(cfg.service_rounds);
-    let mut failure: Option<String> = None;
-
-    std::thread::scope(|scope| {
-        let server = scope.spawn(|| serve(listener, &manager));
-        for round in 0..cfg.service_rounds {
-            let args = LoadgenArgs {
-                addr: addr.to_string(),
-                tenants: cfg.service_tenants,
-                budget: cfg.service_budget,
-                seed: 31_000 + round as u64 * 1000,
-                shutdown: false,
-                expect_warm: false,
-                faults: robotune_sparksim::FaultProfile::None,
-            };
-            match run_loadgen(&args) {
-                Ok(report) => {
-                    let mut requests = 0usize;
-                    for t in &report.reports {
-                        suggest.extend(t.drive.suggest_latencies_s.iter().map(|s| s * 1e3));
-                        observe.extend(t.drive.observe_latencies_s.iter().map(|s| s * 1e3));
-                        requests += t.drive.suggest_latencies_s.len()
-                            + t.drive.observe_latencies_s.len()
-                            + 2;
-                    }
-                    throughput.push(requests as f64 / report.wall_s.max(1e-9));
-                }
-                Err(e) => {
-                    failure = Some(format!("campaign: loadgen round {round}: {e}"));
-                    break;
-                }
-            }
-        }
-        let shutdown = TuningClient::connect(addr.to_string().as_str())
-            .and_then(|mut c| c.shutdown())
-            .map_err(|e| format!("campaign: shutdown: {e}"));
-        if let (Err(e), None) = (shutdown, failure.as_ref()) {
-            failure = Some(e);
-        }
-        match server.join() {
-            Ok(Ok(())) => {}
-            Ok(Err(e)) => {
-                if failure.is_none() {
-                    failure = Some(format!("campaign: serve: {e}"));
-                }
-            }
-            Err(_) => {
-                if failure.is_none() {
-                    failure = Some("campaign: server thread panicked".into());
-                }
-            }
-        }
-    });
-    if let Some(e) = failure {
-        return Err(e);
-    }
-
-    Ok(vec![
-        SeriesSamples {
-            name: "service.suggest_ms",
-            unit: "ms",
-            direction: Direction::Lower,
-            samples: suggest,
-        },
-        SeriesSamples {
-            name: "service.observe_ms",
-            unit: "ms",
-            direction: Direction::Lower,
-            samples: observe,
-        },
-        SeriesSamples {
-            name: "service.throughput_rps",
-            unit: "req/s",
-            direction: Direction::Higher,
-            samples: throughput,
         },
     ])
 }
@@ -867,7 +710,7 @@ pub fn run_store_campaign(cfg: &CampaignConfig) -> Result<Vec<SeriesSamples>, St
     ])
 }
 
-/// Runs all four campaign groups and assembles the manifest.
+/// Runs the three campaign groups and assembles the manifest.
 pub fn run_campaign(cfg: &CampaignConfig) -> Result<Manifest, String> {
     eprintln!(
         "bench campaign `{}`: gp micro-kernels (n={}, {} reps)...",
@@ -875,20 +718,10 @@ pub fn run_campaign(cfg: &CampaignConfig) -> Result<Manifest, String> {
     );
     let mut all = run_gp_campaign(cfg)?;
     eprintln!(
-        "bench campaign `{}`: tuner sessions (budget {}, {} reps)...",
-        cfg.name, cfg.tuner_budget, cfg.tuner_reps
-    );
-    all.extend(run_tuner_campaign(cfg)?);
-    eprintln!(
         "bench campaign `{}`: multi-fidelity sessions (budget {}, {} reps)...",
         cfg.name, cfg.tuner_budget, cfg.tuner_reps
     );
     all.extend(run_mf_campaign(cfg)?);
-    eprintln!(
-        "bench campaign `{}`: service verbs ({} tenants x {} rounds)...",
-        cfg.name, cfg.service_tenants, cfg.service_rounds
-    );
-    all.extend(run_service_campaign(cfg)?);
     eprintln!(
         "bench campaign `{}`: store contention ({} threads x {} ops, {} rounds)...",
         cfg.name, cfg.store_threads, cfg.store_ops, cfg.store_rounds
@@ -1337,7 +1170,7 @@ mod tests {
         let cfg = CampaignConfig::tiny();
         let m = run_campaign(&cfg).expect("tiny campaign");
         assert!(m.series.len() >= 8, "expected >= 8 series, got {}", m.series.len());
-        for prefix in ["gp.", "tuner.", "mf.", "service.", "store."] {
+        for prefix in ["gp.", "mf.", "store."] {
             assert!(
                 m.series.iter().any(|s| s.name.starts_with(prefix)),
                 "missing {prefix} series"

@@ -5,10 +5,10 @@
 //! simulator with deterministic seeding and thread-level parallelism;
 //! [`report`] renders markdown tables and JSON series into `results/`;
 //! [`campaign`] runs calibrated perf campaigns and maintains the
-//! versioned `BENCH_*.json` trajectory manifests; [`loadgen`] boots
-//! and drives the tuning daemon over real TCP, with [`openloop`]
-//! providing the single-threaded multiplexed generator behind
-//! `loadgen --open-loop` for reactor-scale (10k+ tenant) runs;
+//! versioned `BENCH_*.json` trajectory manifests of the series the
+//! repository benchmark (`perfbench/`) does not measure; [`serve`]
+//! boots the tuning daemon and [`loadgen`] drives it over real TCP,
+//! every tenant multiplexed onto one client thread (10k+ tenants);
 //! [`doctor`] runs rule-based tuner-health detectors over the daemon's
 //! `diagnose`/`health` payloads (`experiments doctor`).
 
@@ -21,9 +21,9 @@ pub mod doctor;
 pub mod exp;
 pub mod introspect;
 pub mod loadgen;
-pub mod openloop;
 pub mod report;
 pub mod runner;
+pub mod serve;
 pub mod storecmd;
 
 pub use campaign::{

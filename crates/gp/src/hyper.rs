@@ -76,8 +76,11 @@ pub const FALLBACK_NOISE: f64 = 1e-4;
 /// How [`fit_gp`] / [`fit_gp_ard`] execute their multi-start restarts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FitStrategy {
-    /// Restarts spread over `std::thread::scope` threads (one per start,
-    /// bounded by the host's parallelism). The default.
+    /// Restarts run on `std::thread::scope` threads, one per start and
+    /// not capped at the CPU count, whenever there is more than one start
+    /// and `host_parallelism()` (the CPUs this process may use, read
+    /// once) is above 1; otherwise serially on the calling thread. The
+    /// default.
     #[default]
     Parallel,
     /// Restarts run serially on the calling thread. Same arithmetic as

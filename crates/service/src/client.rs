@@ -7,7 +7,7 @@ use robotune_tuners::Objective;
 use serde_json::{Map, Value};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// What a client call can fail with.
 #[derive(Debug)]
@@ -45,10 +45,6 @@ impl From<std::io::Error> for ClientError {
 /// One `suggest` answer.
 #[derive(Debug, Clone)]
 pub enum Suggestion {
-    /// A `queued` answer, which daemons that bound each session to a
-    /// worker thread gave while the session waited for one. This daemon
-    /// never sends it: a session is live from creation.
-    Queued,
     /// Run this configuration and observe the result.
     Config {
         /// Suggestion index to echo back in `observe`.
@@ -164,7 +160,6 @@ impl TuningClient {
     ) -> Result<Suggestion, ClientError> {
         let v = self.request(Self::session_verb("suggest", session))?;
         match v.get("type").and_then(Value::as_str) {
-            Some("queued") => Ok(Suggestion::Queued),
             Some("config") => {
                 let index = v
                     .get("index")
@@ -297,9 +292,8 @@ pub struct DriveReport {
 /// Creates a session and drives it to completion against a local
 /// objective: suggest → evaluate → observe until `finished`.
 ///
-/// A `timeout` error retries the suggest (as does an older daemon's
-/// `queued`, after a short sleep). Any other protocol error aborts the
-/// drive.
+/// A `timeout` error retries the suggest. Any other protocol error
+/// aborts the drive.
 pub fn drive_session(
     client: &mut TuningClient,
     space: &ConfigSpace,
@@ -329,7 +323,6 @@ pub fn drive_session(
         };
         report.suggest_latencies_s.push(t0.elapsed().as_secs_f64());
         match suggestion {
-            Suggestion::Queued => std::thread::sleep(Duration::from_millis(5)),
             Suggestion::Config { index, config, cap_s } => {
                 let eval = objective.evaluate(&config, cap_s);
                 let status = ObservedStatus::of(&eval);

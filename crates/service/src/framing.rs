@@ -19,8 +19,8 @@
 //!   `frame_too_large` error to a closed socket is wasted work at best
 //!   and a write error at worst.
 //!
-//! The open-loop load generator reuses this decoder on the client side
-//! to reassemble pipelined responses.
+//! The load generator (`experiments loadgen`) reuses this decoder on the
+//! client side to reassemble pipelined responses.
 
 use crate::protocol::MAX_FRAME_BYTES;
 

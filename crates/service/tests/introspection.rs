@@ -120,15 +120,9 @@ fn cancelled_session_leaves_a_parseable_flight_dump() {
         .create_session("km", "spark", 5, 8, Profile::Fast)
         .expect("create session");
     // Pull one real suggestion so the trajectory has at least one ask.
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        match client.suggest(&session, &space).expect("suggest") {
-            Suggestion::Config { .. } => break,
-            Suggestion::Queued if Instant::now() < deadline => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            other => panic!("unexpected suggestion {other:?}"),
-        }
+    match client.suggest(&session, &space).expect("suggest") {
+        Suggestion::Config { .. } => {}
+        other => panic!("unexpected suggestion {other:?}"),
     }
     client.close_session(&session).expect("cancel");
 
