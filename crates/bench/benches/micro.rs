@@ -189,7 +189,7 @@ fn bench_importance(c: &mut Criterion) {
 }
 
 /// Parameter selection exactly as an unseen workload pays for it: default
-/// `SelectorOptions` (3 forest refits × 120 trees, 10 permutation repeats)
+/// `SelectorOptions` (one forest of 120 trees, 10 permutation repeats)
 /// on 100 maximin-LHS KMeans samples over the full space, ranking its 34
 /// covering groups.
 fn bench_select(c: &mut Criterion) {

@@ -25,12 +25,6 @@ pub struct SelectorOptions {
     pub cap_s: f64,
     /// Random-forest hyperparameters.
     pub forest: ForestParams,
-    /// Independent forest fits whose importances are averaged. Averaging
-    /// over re-fits (on top of the 10 permutation repeats) suppresses the
-    /// fit-to-fit jitter of groups hovering near the 0.05 threshold,
-    /// which is what keeps the Fig. 7 recall at 1.0 for large sample
-    /// counts.
-    pub forest_refits: usize,
 }
 
 impl Default for SelectorOptions {
@@ -44,7 +38,6 @@ impl Default for SelectorOptions {
                 n_trees: 120,
                 ..ForestParams::default()
             },
-            forest_refits: 3,
         }
     }
 }
@@ -177,36 +170,10 @@ impl ParameterSelector {
             .map(|g| (g.name, g.members))
             .collect();
 
-        // Average the OOB score and the grouped importances over several
-        // independent forest fits.
-        let refits = self.opts.forest_refits.max(1);
-        let mut oob_r2 = 0.0;
-        let mut importances: Vec<GroupImportance> = Vec::new();
-        for fit in 0..refits {
-            let forest = RandomForest::fit(x, y, &self.opts.forest, rng);
-            oob_r2 += forest.oob_r2(x, y) / refits as f64;
-            let imp =
-                grouped_permutation_importance(&forest, x, y, &groups, self.opts.repeats, rng);
-            if fit == 0 {
-                importances = imp
-                    .into_iter()
-                    .map(|mut g| {
-                        g.importance /= refits as f64;
-                        g
-                    })
-                    .collect();
-            } else {
-                for g in imp {
-                    // Every fit scores the same group list, so the lookup
-                    // always succeeds; a missing name just drops that term.
-                    if let Some(slot) = importances.iter_mut().find(|h| h.name == g.name) {
-                        slot.importance += g.importance / refits as f64;
-                    }
-                }
-            }
-        }
-        importances
-            .sort_by(|a, b| b.importance.total_cmp(&a.importance));
+        let forest = RandomForest::fit(x, y, &self.opts.forest, rng);
+        let oob_r2 = forest.oob_r2(x, y);
+        let importances =
+            grouped_permutation_importance(&forest, x, y, &groups, self.opts.repeats, rng);
 
         let mut selected: Vec<usize> = importances
             .iter()
@@ -233,7 +200,6 @@ impl ParameterSelector {
                 "groups": groups,
             })
         });
-        robotune_obs::incr("select.forest_refit", refits as u64);
 
         SelectionResult {
             selected,
@@ -346,6 +312,36 @@ mod tests {
         let half = selector.select_from_data(&space, &x[..50], &y[..50], &mut rng);
         assert_eq!(full.samples_used, 100);
         assert_eq!(half.samples_used, 50);
+    }
+
+    #[test]
+    fn a_selection_is_one_forest_and_one_importance_pass() {
+        // Paper §3.3: one forest, then grouped MDA over its OOB samples.
+        // A second fit — or any other extra draw — moves these bits.
+        let space = spark_space();
+        let selector = ParameterSelector::default();
+        let mut obj = FnObjective::new(synthetic());
+        let mut rng = rng_from_seed(6);
+        let (x, y, _) = selector.collect_samples(&space, &mut obj, &mut rng);
+        let mut oracle_rng = rng.clone();
+        let got = selector.select_from_data(&space, &x, &y, &mut rng);
+
+        let opts = selector.options();
+        let groups: Vec<(String, Vec<usize>)> =
+            space.covering_groups().into_iter().map(|g| (g.name, g.members)).collect();
+        let forest = RandomForest::fit(&x, &y, &opts.forest, &mut oracle_rng);
+        let want =
+            grouped_permutation_importance(&forest, &x, &y, &groups, opts.repeats, &mut oracle_rng);
+
+        assert_eq!(got.oob_r2.to_bits(), forest.oob_r2(&x, &y).to_bits());
+        let ranked = |imp: &[GroupImportance]| -> Vec<(usize, String, u64)> {
+            imp.iter()
+                .enumerate()
+                .map(|(rank, g)| (rank, g.name.clone(), g.importance.to_bits()))
+                .collect()
+        };
+        assert_eq!(ranked(&got.importances), ranked(&want));
+        assert!(rng == oracle_rng, "the selection drew a different number of values");
     }
 
     #[test]

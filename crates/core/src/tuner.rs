@@ -29,7 +29,6 @@ impl RoboTuneOptions {
         let mut o = RoboTuneOptions::default();
         o.selector.forest.n_trees = 40;
         o.selector.repeats = 4;
-        o.selector.forest_refits = 1;
         o.engine.bo.hyper.restarts = 1;
         o.engine.bo.hyper.evals_per_restart = 40;
         o.engine.bo.optimize.candidates = 48;

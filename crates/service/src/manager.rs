@@ -204,11 +204,12 @@ impl SessionManager {
             };
             let busy = self.busy.fetch_add(1, Ordering::Relaxed) + 1;
             robotune_obs::record("service.sessions_active", busy as f64);
-            let finished = session.step();
+            let finished = session.step(|| {
+                self.live.fetch_sub(1, Ordering::Relaxed);
+            });
             let busy = self.busy.fetch_sub(1, Ordering::Relaxed) - 1;
             robotune_obs::record("service.sessions_active", busy as f64);
             if finished {
-                self.live.fetch_sub(1, Ordering::Relaxed);
                 robotune_obs::incr("service.sessions_finished", 1);
                 // Finished but with failed evaluations: the fault paths
                 // fired — leave a black box anyway.

@@ -277,8 +277,11 @@ impl ServedSession {
     /// the budget is spent, records the outcome. Runs inside the
     /// session's telemetry scope with the causal context of the request
     /// that caused it. Returns whether this step finished the session; a
-    /// closed or finished session does nothing.
-    pub fn step(&self) -> bool {
+    /// closed or finished session does nothing. `on_finish` runs before
+    /// `Finished` is visible to any other request, so bookkeeping it does
+    /// (the manager's live-session count) is never seen stale by a client
+    /// that has read its `finished` answer.
+    pub fn step(&self, on_finish: impl FnOnce()) -> bool {
         let mut guard = lock(&self.stepper);
         let Some(stepper) = guard.as_mut() else {
             return false;
@@ -312,6 +315,7 @@ impl ServedSession {
                 false
             }
             Step::Done(out) => {
+                on_finish();
                 l.outcome = Some(SessionOutcome::of(&out));
                 l.state = SessionState::Finished;
                 *guard = None;
@@ -499,7 +503,7 @@ mod tests {
         let s = session("s-1", store.clone());
         assert!(s.close());
         assert!(!s.close(), "a second close is a no-op");
-        assert!(!s.step());
+        assert!(!s.step(|| panic!("a closed session never finishes")));
         assert_eq!(s.state(), SessionState::Closed);
         assert!(s.outcome().is_none());
         assert!(store.workloads().is_empty());
@@ -521,8 +525,15 @@ mod tests {
     fn ask_tell_drives_a_session_to_finished() {
         let s = session("s-3", InMemoryMemoStore::new().into_shared());
         let mut last_index = None;
+        let finishes = std::cell::Cell::new(0);
         loop {
-            if s.step() {
+            let finished = s.step(|| {
+                // Still under the ledger lock: no request can see
+                // `Finished` before this bookkeeping is done.
+                assert!(s.ledger.try_lock().is_err(), "on_finish runs under the ledger lock");
+                finishes.set(finishes.get() + 1);
+            });
+            if finished {
                 break;
             }
             let Ok(SuggestReply::Ask(ask)) = s.suggest(Duration::ZERO) else {
@@ -546,7 +557,8 @@ mod tests {
         };
         assert_eq!(out.evals, spec().budget);
         assert!(!out.cache_hit, "cold store cannot hit the selection cache");
-        assert!(!s.step(), "a finished session does not step");
+        assert!(!s.step(|| {}), "a finished session does not step");
+        assert_eq!(finishes.get(), 1, "on_finish runs once, on the finishing step");
         let stats = s.stats();
         assert_eq!(stats.asked, stats.observed);
         assert!(stats.observed > 0);
@@ -558,7 +570,7 @@ mod tests {
         let s = session("s-4", store.clone());
         // Take a few asks into selection sampling, then abandon.
         for _ in 0..3 {
-            assert!(!s.step());
+            assert!(!s.step(|| {}));
             let Ok(SuggestReply::Ask(ask)) = s.suggest(Duration::ZERO) else {
                 panic!("a step leaves an ask ready");
             };
@@ -566,7 +578,7 @@ mod tests {
         }
         assert!(s.close());
         assert_eq!(s.state(), SessionState::Closed);
-        assert!(!s.step());
+        assert!(!s.step(|| {}));
         let err = s.suggest(Duration::ZERO).unwrap_err();
         assert_eq!(err.code, ErrorCode::SessionClosed);
         assert!(s.outcome().is_none());
