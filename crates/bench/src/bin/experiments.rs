@@ -23,7 +23,7 @@
 //!                     [--check --baseline FILE [--manifest FILE]]
 //!                     [--validate FILE] [--tolerance PCT]
 //! experiments serve   [--port N] [--store DIR] [--workers N] [--queue N]
-//!                     [--dispatch N] [--flight-dir DIR] [--no-telemetry]
+//!                     [--flight-dir DIR] [--no-telemetry]
 //! experiments loadgen [--addr HOST:PORT] [--tenants N] [--rate R]
 //!                     [--hold S] [--budget N] [--poll-ms N] [--seed N]
 //!                     [--faults none|transient|hostile] [--expect-warm]
@@ -226,7 +226,7 @@ fn dispatch(cmd: &str, args: &Args) {
                 "usage: experiments <fig2|fig3|fig4|fig5|fig6|fig7|fig8|fig9|tab2|default|ablation|extras|chaos|mf|all> \
                  [--reps N] [--budget N] [--out DIR] [--trace FILE] [--profile FILE] [--faults none|transient|hostile]\n\
                  \x20      experiments bench [--quick] [--reps N] [--out DIR] [--campaign NAME] [--check --baseline FILE [--manifest FILE]] [--validate FILE] [--tolerance PCT]\n\
-                 \x20      experiments serve [--port N] [--store DIR] [--workers N] [--queue N] [--dispatch N] [--flight-dir DIR] [--no-telemetry]\n\
+                 \x20      experiments serve [--port N] [--store DIR] [--workers N] [--queue N] [--flight-dir DIR] [--no-telemetry]\n\
                  \x20      experiments loadgen [--addr HOST:PORT] [--tenants N] [--rate R] [--hold S] [--budget N] [--poll-ms N] [--seed N] [--faults none|transient|hostile] [--expect-warm] [--slo-suggest-p99-ms MS] [--slo-observe-p99-ms MS] [--shutdown] [--json PATH]\n\
                  \x20      experiments top [--addr HOST:PORT] [--interval-ms N] [--once]\n\
                  \x20      experiments store <inspect|verify|compact> --dir PATH\n\

@@ -22,10 +22,6 @@ pub struct ServeArgs {
     /// Admission headroom: `overloaded` once `workers + queue` sessions
     /// are live.
     pub queue: usize,
-    /// Reactor dispatch threads; `None` = workers + 8, which keeps
-    /// cheap traffic (status, health) flowing even when `workers`
-    /// dispatchers wait inside a `suggest` for a step.
-    pub dispatch: Option<usize>,
     /// Failure flight-recorder directory; disabled when absent.
     pub flight_dir: Option<PathBuf>,
     /// Leave tracing off (per-session metrics and flight dumps will be
@@ -44,7 +40,6 @@ pub fn parse_serve_args(rest: &[String]) -> ServeArgs {
         store: None,
         workers: 4,
         queue: 64,
-        dispatch: None,
         flight_dir: None,
         no_telemetry: false,
     };
@@ -66,13 +61,6 @@ pub fn parse_serve_args(rest: &[String]) -> ServeArgs {
                 args.queue = take_value("--queue N", it.next())
                     .parse()
                     .unwrap_or_else(|e| fatal(format!("--queue: {e}")));
-            }
-            "--dispatch" => {
-                args.dispatch = Some(
-                    take_value("--dispatch N", it.next())
-                        .parse()
-                        .unwrap_or_else(|e| fatal(format!("--dispatch: {e}"))),
-                );
             }
             "--flight-dir" => {
                 args.flight_dir = Some(PathBuf::from(take_value("--flight-dir DIR", it.next())));
@@ -115,7 +103,6 @@ pub fn serve_main(rest: &[String]) -> i32 {
             workers: args.workers,
             queue_capacity: args.queue,
             flight_dir: args.flight_dir.clone(),
-            dispatch_workers: args.dispatch.unwrap_or(args.workers + 8),
             ..ServiceOptions::default()
         },
         store,

@@ -21,7 +21,7 @@ const TENANTS: usize = 3;
 fn run_against_daemon(dir: &Path, mut args: LoadgenArgs) -> LoadgenReport {
     let store = PersistentMemoStore::open(dir).expect("open store").into_shared();
     let manager = SessionManager::new(
-        ServiceOptions { workers: 2, dispatch_workers: 4, ..ServiceOptions::default() },
+        ServiceOptions { workers: 2, ..ServiceOptions::default() },
         store,
     );
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");

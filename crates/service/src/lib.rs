@@ -20,7 +20,7 @@
 //! - [`session`] — one served tuning session (the stepper, the ask/tell
 //!   bookkeeping, lifecycle, per-session accounting);
 //! - [`manager`] — [`SessionManager`]: admission with backpressure, the
-//!   compute pool that steps sessions, and request dispatch;
+//!   compute pool that steps sessions, and request handling;
 //! - [`diagnose`] — the tuner-health view behind the `diagnose` verb:
 //!   `diag.*` series (GP conditioning, acquisition/hedge state, regret,
 //!   rung outcomes) extracted from the session's scope ring under a
@@ -31,17 +31,21 @@
 //!   thread (epoll via the `mio` stand-in) owns every connection's
 //!   state machine — incremental frame reassembly, buffered
 //!   nonblocking writes with backpressure, per-connection serial
-//!   pipelining into a dispatch pool — so one process holds tens of
-//!   thousands of idle tenants without a thread or a wakeup each;
+//!   pipelining — so one process holds tens of thousands of idle
+//!   tenants without a thread or a wakeup each;
 //! - [`flight`] — [`FlightRecorder`]: JSONL black-box dumps (recent
 //!   telemetry events + config trajectory + fault/retry counters) for
 //!   sessions that are cancelled or trip fault paths;
 //! - [`client`] — [`TuningClient`], a small blocking client library used
 //!   by the bench load generator and the integration tests.
 //!
+//! The daemon has two kinds of thread: the reactor answers every
+//! request, and the compute workers step sessions. No thread waits for
+//! a step: a `suggest` that must leaves a wake-up with its session.
+//!
 //! Live introspection: every session owns a telemetry
 //! [`Scope`](robotune_obs::Scope), entered by the worker stepping its
-//! pipeline *and* by connection threads serving its requests, so the
+//! pipeline *and* by the reactor while it answers its requests, so the
 //! `metrics` verb can answer per-session counters/histograms (JSON or
 //! Prometheus text) and `health` reports rolling suggest/observe SLO
 //! percentiles, compute pressure, and store WAL lag.

@@ -1,7 +1,8 @@
-//! The session manager: admission, the compute pool, request dispatch,
+//! The session manager: admission, the compute pool, request handling,
 //! and graceful shutdown.
 //!
-//! Concurrency model: a session is plain data — its pipeline is a
+//! Concurrency model: the daemon has two kinds of thread, the reactor
+//! and the compute workers. A session is plain data — its pipeline is a
 //! [`RoboTuneStepper`](robotune::RoboTuneStepper) inside the
 //! [`ServedSession`] — and no thread belongs to it. `create_session`
 //! admits it (backpressure: once `workers + queue_capacity` sessions are
@@ -10,8 +11,8 @@
 //! pops those jobs: each runs one step — the stored tell into the
 //! stepper, then its next ask — and is free again. `observe` stores the
 //! tell and queues the next step, so the compute stays off the request
-//! path; `suggest` returns the ready ask, waiting up to
-//! [`ServiceOptions::suggest_timeout`] while a worker computes it. Any
+//! path; `suggest` returns the ready ask, or parks as data until the
+//! step wakes it or [`ServiceOptions::suggest_timeout`] passes. Any
 //! number of sessions can hold an outstanding ask while their clients
 //! run Spark; `workers` bounds only how many are computed at once.
 //!
@@ -24,7 +25,7 @@ use crate::flight::FlightRecorder;
 use crate::protocol::{
     self, config_to_wire, error_frame, ok_frame, ErrorCode, MetricsFormat, ProtoError, Request,
 };
-use crate::session::{ServedSession, SessionOutcome, SessionSpec, SessionState, SuggestReply};
+use crate::session::{ServedSession, SessionOutcome, SessionSpec, SessionState, SuggestReply, Wake};
 use robotune::SharedMemoStore;
 use robotune_obs::{HistSummary, RollingWindow, Snapshot};
 use robotune_space::spark::spark_space;
@@ -58,10 +59,8 @@ pub struct ServiceOptions {
     /// Where failure flight-recorder dumps are written; `None` disables
     /// the recorder.
     pub flight_dir: Option<PathBuf>,
-    /// Dispatch threads the reactor hands decoded requests to. These
-    /// execute `handle_line` (which can block up to `suggest_timeout`
-    /// waiting on a session's pipeline) so the event loop never does;
-    /// they are cheap threads, distinct from the GP-compute `workers`.
+    /// Unused: the reactor answers every request, and nothing reads
+    /// this; kept so that callers which set it still build.
     pub dispatch_workers: usize,
 }
 
@@ -85,20 +84,14 @@ struct SloWindows {
     observe: RollingWindow,
 }
 
-/// Which SLO window a request feeds.
-enum SloVerb {
-    Suggest,
-    Observe,
-}
-
 /// Hosts every session and dispatches protocol requests.
 pub struct SessionManager {
     opts: ServiceOptions,
     store: SharedMemoStore,
     spaces: Vec<(String, Arc<ConfigSpace>)>,
     sessions: Mutex<HashMap<String, Arc<ServedSession>>>,
-    /// Sessions waiting for a compute worker to step them.
-    jobs: Mutex<VecDeque<Arc<ServedSession>>>,
+    /// Sessions waiting for a compute worker, queued when (telemetry on).
+    jobs: Mutex<VecDeque<(Arc<ServedSession>, Option<Instant>)>>,
     jobs_cv: Condvar,
     next_id: AtomicU64,
     shutdown: AtomicBool,
@@ -184,10 +177,11 @@ impl SessionManager {
     }
 
     /// One compute worker: pop step jobs and run each until shutdown
-    /// drains the queue.
+    /// drains the queue. With telemetry on, each step records how long
+    /// it waited in the queue, in nanoseconds, as `service.step_wait`.
     pub fn worker_loop(&self) {
         loop {
-            let session = {
+            let job = {
                 let mut q = lock(&self.jobs);
                 loop {
                     if let Some(s) = q.pop_front() {
@@ -199,9 +193,13 @@ impl SessionManager {
                     q = self.jobs_cv.wait(q).unwrap_or_else(std::sync::PoisonError::into_inner);
                 }
             };
-            let Some(session) = session else {
+            let Some((session, queued)) = job else {
                 return;
             };
+            if let Some(queued) = queued {
+                let _scope = session.scope().enter();
+                robotune_obs::record("service.step_wait", queued.elapsed().as_nanos() as f64);
+            }
             let busy = self.busy.fetch_add(1, Ordering::Relaxed) + 1;
             robotune_obs::record("service.sessions_active", busy as f64);
             let finished = session.step(|| {
@@ -222,7 +220,8 @@ impl SessionManager {
 
     /// Queues a job to step `session`.
     fn schedule(&self, session: Arc<ServedSession>) {
-        lock(&self.jobs).push_back(session);
+        let queued = robotune_obs::is_enabled().then(Instant::now);
+        lock(&self.jobs).push_back((session, queued));
         self.jobs_cv.notify_one();
     }
 
@@ -267,21 +266,28 @@ impl SessionManager {
     }
 
     /// Handles one raw request line, returning the rendered response
-    /// frame (without trailing newline).
+    /// frame (without trailing newline), parking the calling thread
+    /// while a `suggest` waits; the daemon's reactor parks none.
     pub fn handle_line(&self, line: &str) -> String {
-        self.handle(line, false).unwrap_or_default()
+        let me = std::thread::current();
+        let wake: Wake = Arc::new(move || me.unpark());
+        let mut handled = self.handle(line, &wake);
+        loop {
+            match handled {
+                Handled::Answer(response) => return response,
+                Handled::Parked(parked) => {
+                    // An unpark before the park makes it return at once.
+                    let left = parked.deadline.saturating_duration_since(Instant::now());
+                    std::thread::park_timeout(left);
+                    handled = self.resume(parked, &wake);
+                }
+            }
+        }
     }
 
-    /// Handles `line` only if the answer cannot wait: a malformed frame,
-    /// an `observe`, or a `suggest` whose ask is ready. Anything else
-    /// answers `None`, untouched, for the caller to hand to a thread that
-    /// may block — a `suggest` waiting for its step, or a verb that reads
-    /// every session or writes files.
-    pub fn handle_line_inline(&self, line: &str) -> Option<String> {
-        self.handle(line, true)
-    }
-
-    fn handle(&self, line: &str, inline_only: bool) -> Option<String> {
+    /// Handles one raw request line without waiting: a `suggest` whose
+    /// ask is not ready comes back parked, with `wake` registered.
+    pub(crate) fn handle(&self, line: &str, wake: &Wake) -> Handled {
         let started = Instant::now();
         let frame = match serde_json::from_str(line) {
             Ok(v) => v,
@@ -291,58 +297,71 @@ impl SessionManager {
                     _ => ErrorCode::MalformedFrame,
                 };
                 robotune_obs::incr("service.req_errors", 1);
-                return Some(render(error_frame(
+                return Handled::Answer(render(error_frame(
                     &Value::Null,
                     &ProtoError::new(code, format!("bad frame: {e}")),
                 )));
             }
         };
         let (id, parsed) = Request::parse(&frame);
-        let response = match parsed {
-            Ok(req) => {
-                let scope_session = req.session_id().and_then(|sid| self.session(sid).ok());
-                let cannot_wait = match &req {
-                    Request::Observe { .. } => true,
-                    Request::Suggest { .. } => {
-                        scope_session.as_ref().is_some_and(|s| s.suggest_ready())
-                    }
-                    _ => false,
-                };
-                if inline_only && !cannot_wait {
-                    return None;
-                }
-                let verb = verb_metric(&req);
-                let slo = match &req {
-                    Request::Suggest { .. } => Some(SloVerb::Suggest),
-                    Request::Observe { .. } => Some(SloVerb::Observe),
-                    _ => None,
-                };
-                // Session-bearing verbs run inside the session's
-                // telemetry scope, so the per-verb latency histograms
-                // attribute per tenant as well as globally.
-                let result = {
-                    let _guard = scope_session.as_ref().map(|s| s.scope().enter());
-                    let result = self.dispatch(&id, req);
-                    robotune_obs::record(verb, started.elapsed().as_nanos() as f64);
-                    result
-                };
-                if let Some(slo_verb) = slo {
-                    let ns = started.elapsed().as_nanos() as f64;
-                    let mut slo = lock(&self.slo);
-                    match slo_verb {
-                        SloVerb::Suggest => slo.suggest.push(ns),
-                        SloVerb::Observe => slo.observe.push(ns),
-                    }
-                }
-                robotune_obs::incr("service.requests", 1);
-                result
-            }
+        let req = match parsed {
+            Ok(req) => req,
             Err(err) => {
                 robotune_obs::incr("service.req_errors", 1);
-                error_frame(&id, &err)
+                return Handled::Answer(render(error_frame(&id, &err)));
             }
         };
-        Some(render(response))
+        let session = req.session_id().and_then(|sid| self.session(sid).ok());
+        if let (Request::Suggest { .. }, Some(session)) = (&req, &session) {
+            let deadline = started + self.opts.suggest_timeout;
+            let parked = ParkedSuggest { id, session: Arc::clone(session), started, deadline };
+            return self.resume(parked, wake);
+        }
+        let verb = verb_metric(&req);
+        // Session-bearing verbs run inside the session's telemetry scope.
+        let response = {
+            let _scope = session.as_ref().map(|s| s.scope().enter());
+            self.dispatch(&id, req)
+        };
+        self.answered(session.as_deref(), verb, started);
+        Handled::Answer(render(response))
+    }
+
+    /// Tries a parked suggest again. Past its deadline it withdraws
+    /// `wake` and answers the retryable `timeout`; the ask it waited for
+    /// stays ready for the next `suggest`, at the same index.
+    pub(crate) fn resume(&self, parked: ParkedSuggest, wake: &Wake) -> Handled {
+        let (id, s) = (&parked.id, &parked.session);
+        let response = {
+            let _scope = s.scope().enter();
+            match s.suggest(wake) {
+                Ok(Some(reply)) => self.render_suggest(id, s, reply),
+                Err(e) => error_frame(id, &e),
+                Ok(None) if Instant::now() < parked.deadline => return Handled::Parked(parked),
+                Ok(None) => {
+                    s.stop_waiting(wake);
+                    let msg = "pipeline produced no suggestion in time; retry";
+                    error_frame(id, &ProtoError::new(ErrorCode::Timeout, msg))
+                }
+            }
+        };
+        self.answered(Some(s), SUGGEST, parked.started);
+        Handled::Answer(render(response))
+    }
+
+    /// Counts an answered request once: its latency since first handled
+    /// (in `s`'s scope too), its SLO window, and `service.requests`.
+    fn answered(&self, s: Option<&ServedSession>, verb: &'static str, started: Instant) {
+        let ns = started.elapsed().as_nanos() as f64;
+        let scope = s.map(|s| s.scope().enter());
+        robotune_obs::record(verb, ns);
+        drop(scope);
+        match verb {
+            SUGGEST => lock(&self.slo).suggest.push(ns),
+            OBSERVE => lock(&self.slo).observe.push(ns),
+            _ => {}
+        }
+        robotune_obs::incr("service.requests", 1);
     }
 
     fn dispatch(&self, id: &Value, req: Request) -> Value {
@@ -350,13 +369,8 @@ impl SessionManager {
             Request::CreateSession { workload, space, seed, budget, profile } => {
                 self.create_session(id, workload, &space, seed, budget, profile)
             }
-            Request::Suggest { session } => match self.session(&session) {
-                Err(e) => error_frame(id, &e),
-                Ok(s) => match s.suggest(self.opts.suggest_timeout) {
-                    Err(e) => error_frame(id, &e),
-                    Ok(reply) => self.render_suggest(id, &s, reply),
-                },
-            },
+            // A suggest for a known session went to `resume`.
+            Request::Suggest { session } => error_frame(id, &unknown_session(&session)),
             Request::Observe { session, index, time_s, status } => {
                 let observed = self.session(&session).and_then(|s| {
                     let observed = s.observe(index, time_s, status)?;
@@ -583,9 +597,7 @@ impl SessionManager {
     }
 
     fn session(&self, id: &str) -> Result<Arc<ServedSession>, ProtoError> {
-        lock(&self.sessions).get(id).cloned().ok_or_else(|| {
-            ProtoError::new(ErrorCode::UnknownSession, format!("no session {id:?}"))
-        })
+        lock(&self.sessions).get(id).cloned().ok_or_else(|| unknown_session(id))
     }
 
     fn render_suggest(&self, id: &Value, s: &ServedSession, reply: SuggestReply) -> Value {
@@ -622,6 +634,25 @@ impl SessionManager {
             }),
         )
     }
+}
+
+/// What handling one request produced.
+pub(crate) enum Handled {
+    /// The rendered response frame (without trailing newline).
+    Answer(String),
+    Parked(ParkedSuggest),
+}
+
+/// A `suggest` that found no ask ready, held until it is retried.
+pub(crate) struct ParkedSuggest {
+    id: Value,
+    session: Arc<ServedSession>,
+    started: Instant,
+    pub(crate) deadline: Instant,
+}
+
+fn unknown_session(id: &str) -> ProtoError {
+    ProtoError::new(ErrorCode::UnknownSession, format!("no session {id:?}"))
 }
 
 /// An `ok` response frame carrying `body`'s fields after `id`/`ok`.
@@ -698,11 +729,15 @@ fn window_to_json(w: &RollingWindow) -> Value {
     })
 }
 
+/// The latency histograms that also feed the SLO windows.
+const SUGGEST: &str = "service.req_ns.suggest";
+const OBSERVE: &str = "service.req_ns.observe";
+
 fn verb_metric(req: &Request) -> &'static str {
     match req {
         Request::CreateSession { .. } => "service.req_ns.create_session",
-        Request::Suggest { .. } => "service.req_ns.suggest",
-        Request::Observe { .. } => "service.req_ns.observe",
+        Request::Suggest { .. } => SUGGEST,
+        Request::Observe { .. } => OBSERVE,
         Request::Best { .. } => "service.req_ns.best",
         Request::Status { .. } => "service.req_ns.status",
         Request::CloseSession { .. } => "service.req_ns.close_session",
@@ -713,7 +748,7 @@ fn verb_metric(req: &Request) -> &'static str {
     }
 }
 
-fn render(v: Value) -> String {
+pub(crate) fn render(v: Value) -> String {
     serde_json::to_string(&v).unwrap_or_else(|_| {
         // The value was built by us from valid pieces; this cannot
         // fail, but degrade to a protocol-shaped literal regardless.
@@ -878,5 +913,40 @@ mod tests {
         assert_eq!(one["state"].as_str(), Some("running"));
         assert_eq!(one["workload"].as_str(), Some("km"));
         assert_eq!(one["outcome"], Value::Null);
+    }
+
+    /// Drives one session through two steps on a compute worker — the
+    /// first from its `create_session`, the second from an `observe` —
+    /// and returns how many `service.step_wait` samples its scope saw.
+    fn step_wait_samples() -> u64 {
+        let m = SessionManager::new(
+            ServiceOptions { suggest_timeout: Duration::from_secs(60), ..Default::default() },
+            InMemoryMemoStore::new().into_shared(),
+        );
+        std::thread::scope(|scope| {
+            scope.spawn(|| m.worker_loop());
+            let sid = create(&m, "km")["session"].as_str().unwrap().to_string();
+            let suggest = format!(r#"{{"verb":"suggest","session":"{sid}"}}"#);
+            let ask = parse(&m.handle_line(&suggest));
+            assert_eq!(ask["type"].as_str(), Some("config"), "{ask:?}");
+            let observe = format!(
+                r#"{{"verb":"observe","session":"{sid}","index":{},"time_s":10.0,"status":"completed"}}"#,
+                ask["index"].as_u64().unwrap()
+            );
+            assert_eq!(parse(&m.handle_line(&observe))["ok"], Value::Bool(true));
+            assert_eq!(parse(&m.handle_line(&suggest))["index"].as_u64(), Some(1));
+            m.begin_shutdown();
+            let session = m.session(&sid).unwrap();
+            session.scope().snapshot().hist("service.step_wait").map_or(0, |h| h.count)
+        })
+    }
+
+    #[test]
+    fn step_wait_is_one_sample_per_step_and_none_with_telemetry_off() {
+        assert_eq!(step_wait_samples(), 0, "telemetry off records nothing");
+        robotune_obs::enable_null();
+        let on = step_wait_samples();
+        robotune_obs::disable();
+        assert_eq!(on, 2, "one sample per step");
     }
 }

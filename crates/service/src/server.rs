@@ -1,28 +1,29 @@
 //! The TCP layer: a nonblocking reactor that owns every connection.
 //!
-//! One event-loop thread (epoll on Linux via the workspace `mio`
-//! stand-in, `poll(2)` elsewhere) holds all connection state machines:
-//! incremental NDJSON frame reassembly ([`FrameDecoder`]), buffered
-//! nonblocking writes with high/low-watermark backpressure, and
-//! per-connection serial pipelining. A request that cannot wait (an
-//! `observe`, a `suggest` whose ask is ready) is answered on the loop
-//! itself; the rest go to a small dispatch pool that executes
-//! [`SessionManager::handle_line`]. Idle tenants cost one
-//! registered fd and a few hundred bytes — no thread, no 50 ms wakeup —
-//! which is what lets a single process hold 10k+ open sessions while a
-//! handful of compute workers step their pipelines.
+//! The daemon has two kinds of thread: this reactor and the compute
+//! workers. One event-loop thread (epoll on Linux via the workspace
+//! `mio` stand-in, `poll(2)` elsewhere) holds all connection state
+//! machines — incremental NDJSON frame reassembly ([`FrameDecoder`]),
+//! buffered nonblocking writes with high/low-watermark backpressure,
+//! per-connection serial pipelining — and answers every request itself:
+//! each verb takes only short locks. Idle tenants cost one registered
+//! fd and a few hundred bytes — no thread, no 50 ms wakeup — which is
+//! what lets a single process hold 10k+ open sessions while a handful
+//! of compute workers step their pipelines.
 //!
 //! ## Ownership model
 //!
 //! The reactor thread is the *only* thread that touches sockets. A
-//! decoded request travels `inbox → outbuf` when it cannot wait, else
-//! `inbox → dispatch pool → completion queue → outbuf`, re-entering the
-//! reactor via a [`Waker`]; locally detected
-//! conditions (oversized frame, bad UTF-8) become inbox items too, so
-//! responses leave in exactly the order requests arrived. One request
-//! per connection is in flight at a time — pipelining *across* tenants
-//! is what scales, and serial-per-connection keeps `suggest`-then-
-//! `observe` semantics and response ordering trivially correct.
+//! decoded request travels `inbox → outbuf`; a `suggest` whose ask is
+//! not ready parks on its connection until a step or close runs its
+//! wake-up, which queues the token and nudges the reactor's [`Waker`],
+//! or until its deadline (one timeout for all, so deadlines queue in
+//! order). Locally detected conditions (oversized frame, bad UTF-8)
+//! become inbox items too, so responses leave in exactly the order
+//! requests arrived. One request per connection is in flight at a time
+//! — pipelining *across* tenants is what scales, and serial-per-
+//! connection keeps `suggest`-then-`observe` semantics and response
+//! ordering trivially correct.
 //!
 //! ## Backpressure
 //!
@@ -38,21 +39,22 @@
 //! On shutdown the reactor stops accepting, takes one final
 //! non-blocking read sweep per connection — so pipelined requests that
 //! are already fully buffered in the kernel still get answers — then
-//! keeps dispatching and flushing until every connection is quiet
-//! (empty inbox, nothing in flight, flushed outbuf) and closes them
-//! without waiting for peer EOF. Only after the loop, the dispatch
-//! pool, and the compute workers have all exited is the shared store
+//! keeps answering and flushing until every connection is quiet (empty
+//! inbox, no parked suggest, flushed outbuf) and closes them without
+//! waiting for peer EOF. Shutdown closes every session, which wakes
+//! each parked suggest to answer `session_closed`. Only after the loop
+//! and the compute workers have both exited is the shared store
 //! checkpointed, exactly once.
 
 use crate::framing::{DecodedFrame, FrameDecoder};
-use crate::manager::SessionManager;
+use crate::manager::{render, Handled, ParkedSuggest, SessionManager};
 use crate::protocol::{error_frame, ErrorCode, ProtoError, MAX_FRAME_BYTES};
+use crate::session::Wake;
 use mio::{Events, Interest, Poll, Token, Waker};
 use serde_json::Value;
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -72,8 +74,9 @@ const FIRST_CONN: usize = 2;
 /// Upper bound on events drained per loop iteration.
 const EVENTS_PER_LOOP: usize = 1024;
 /// Reactor tick: poll timeout bounding shutdown/gauge latency when no
-/// I/O is happening. This replaces the old per-connection 50 ms read
-/// timeout — one timer for the whole process instead of one per tenant.
+/// I/O is happening and no parked suggest is due sooner. This replaces
+/// the old per-connection 50 ms read timeout — one timer for the whole
+/// process instead of one per tenant.
 const TICK: Duration = Duration::from_millis(200);
 /// Read-side scratch buffer size.
 const READ_CHUNK: usize = 16 * 1024;
@@ -81,7 +84,7 @@ const READ_CHUNK: usize = 16 * 1024;
 const WRITE_BUFFER_HIGH: usize = 256 * 1024;
 /// …and resume once it has drained to this.
 const WRITE_BUFFER_LOW: usize = 64 * 1024;
-/// Decoded-but-undispatched requests tolerated per connection before
+/// Decoded-but-unanswered requests tolerated per connection before
 /// its reads pause.
 const INBOX_LIMIT: usize = 128;
 /// How long the listener stays paused after fd exhaustion before the
@@ -91,7 +94,7 @@ const ACCEPT_BACKOFF: Duration = Duration::from_millis(250);
 /// One decoded inbox entry, in wire order. Local error renderings ride
 /// the same queue as real requests so responses stay ordered.
 enum InboxItem {
-    /// A well-formed line for the dispatch pool.
+    /// A well-formed line for the session manager.
     Request(String),
     /// An oversized frame (already resynchronized) → `frame_too_large`.
     TooLong,
@@ -99,20 +102,21 @@ enum InboxItem {
     BadUtf8,
 }
 
-/// A request handed to the dispatch pool. `ctx` is the causal trace
-/// context minted when the frame left the wire; the dispatch worker
-/// adopts it so the handler's spans link back to the reactor's
-/// `service.frame_read` span across the thread crossing.
-struct Job {
-    token: usize,
-    line: String,
-    ctx: robotune_obs::TraceCtx,
+/// Connections whose parked suggest a step or a close may have answered.
+struct Completions {
+    ready: Mutex<Vec<usize>>,
+    waker: Waker,
 }
 
-/// Dispatch-pool results funneled back to the reactor.
-struct Completions {
-    ready: Mutex<Vec<(usize, String)>>,
-    waker: Waker,
+impl Completions {
+    /// The wake-up of connection `token`'s parked suggests.
+    fn wake_for(self: &Arc<Self>, token: usize) -> Wake {
+        let done = Arc::clone(self);
+        Arc::new(move || {
+            lock(&done.ready).push(token);
+            let _ = done.waker.wake();
+        })
+    }
 }
 
 /// Per-connection state machine, owned exclusively by the reactor.
@@ -124,8 +128,9 @@ struct Conn {
     /// front has already been written.
     outbuf: Vec<u8>,
     out_cursor: usize,
-    /// A request from this connection is at the dispatch pool.
-    in_flight: bool,
+    /// This connection's suggest waiting for a step.
+    parked: Option<ParkedSuggest>,
+    wake: Wake,
     /// Peer closed its write half; buffered requests still get answers.
     eof: bool,
     /// Read side paused by the outbuf high watermark (cleared at the
@@ -139,14 +144,15 @@ struct Conn {
 }
 
 impl Conn {
-    fn new(stream: TcpStream) -> Conn {
+    fn new(stream: TcpStream, wake: Wake) -> Conn {
         Conn {
             stream,
             decoder: FrameDecoder::new(),
             inbox: VecDeque::new(),
             outbuf: Vec::new(),
             out_cursor: 0,
-            in_flight: false,
+            parked: None,
+            wake,
             eof: false,
             write_throttled: false,
             dead: false,
@@ -158,10 +164,10 @@ impl Conn {
         self.outbuf.len() - self.out_cursor
     }
 
-    /// Everything answered and flushed: nothing decoded, nothing in
-    /// flight, nothing buffered for the peer.
+    /// Everything answered and flushed: nothing decoded, nothing
+    /// parked, nothing buffered for the peer.
     fn quiet(&self) -> bool {
-        self.inbox.is_empty() && !self.in_flight && self.pending_out() == 0
+        self.inbox.is_empty() && self.parked.is_none() && self.pending_out() == 0
     }
 
     /// Whether the reactor wants read readiness right now.
@@ -270,33 +276,7 @@ impl Conn {
 }
 
 fn render_error(code: ErrorCode, message: String) -> String {
-    serde_json::to_string(&error_frame(&Value::Null, &ProtoError::new(code, message)))
-        .unwrap_or_else(|_| {
-            r#"{"id":null,"ok":false,"error":{"code":"internal","message":"render failure"}}"#
-                .to_string()
-        })
-}
-
-/// Pulls jobs and runs the (possibly blocking) protocol handler; the
-/// shared receiver is the usual one-waiter-holds-the-lock pool pattern.
-fn dispatch_loop(
-    manager: &SessionManager,
-    jobs: &Arc<Mutex<Receiver<Job>>>,
-    done: &Arc<Completions>,
-) {
-    loop {
-        let job = match lock(jobs).recv() {
-            Ok(job) => job,
-            Err(_) => return, // reactor dropped the sender: drained
-        };
-        let response = {
-            let _trace = robotune_obs::adopt(job.ctx);
-            let _span = robotune_obs::span("service.dispatch");
-            manager.handle_line(&job.line)
-        };
-        lock(&done.ready).push((job.token, response));
-        let _ = done.waker.wake();
-    }
+    render(error_frame(&Value::Null, &ProtoError::new(code, message)))
 }
 
 /// The event loop. Owns the poll, the listener, and every connection.
@@ -309,8 +289,9 @@ struct Reactor<'m> {
     accept_resume_at: Option<Instant>,
     conns: HashMap<usize, Conn>,
     next_token: usize,
-    job_tx: Sender<Job>,
     completions: Arc<Completions>,
+    /// Deadlines of parked suggests, with their connections, in order.
+    deadlines: VecDeque<(Instant, usize)>,
     draining: bool,
 }
 
@@ -318,7 +299,10 @@ impl<'m> Reactor<'m> {
     fn run(&mut self) -> io::Result<()> {
         let mut events = Events::with_capacity(EVENTS_PER_LOOP);
         loop {
-            let n = match self.poll.poll(&mut events, Some(TICK)) {
+            let timeout = self.deadlines.front().map_or(TICK, |&(at, _)| {
+                at.saturating_duration_since(Instant::now()).min(TICK)
+            });
+            let n = match self.poll.poll(&mut events, Some(timeout)) {
                 Ok(n) => n,
                 Err(e) => {
                     self.manager.begin_shutdown();
@@ -350,10 +334,19 @@ impl<'m> Reactor<'m> {
                 self.accept_burst()?;
             }
 
-            // Route completed responses, then advance each touched
-            // connection's pipeline (dispatch next inbox item, flush,
-            // re-arm interest, reap the finished).
-            touched.extend(self.drain_completions());
+            // Touch the connections whose parked suggest was woken or is
+            // due, then advance each touched connection's pipeline
+            // (retry the parked suggest, answer the next inbox item,
+            // flush, re-arm interest, reap the finished).
+            touched.extend(std::mem::take(&mut *lock(&self.completions.ready)));
+            let now = Instant::now();
+            while let Some(&(at, t)) = self.deadlines.front() {
+                if at > now {
+                    break;
+                }
+                self.deadlines.pop_front();
+                touched.push(t);
+            }
             for t in touched {
                 self.advance(t);
             }
@@ -393,7 +386,7 @@ impl<'m> Reactor<'m> {
                     robotune_obs::incr("service.connections", 1);
                     let token = self.next_token;
                     self.next_token += 1;
-                    let mut conn = Conn::new(stream);
+                    let mut conn = Conn::new(stream, self.completions.wake_for(token));
                     if self
                         .poll
                         .register(&conn.stream, Token(token), Interest::READABLE)
@@ -442,33 +435,22 @@ impl<'m> Reactor<'m> {
         }
     }
 
-    /// Takes the completion queue; returns the tokens needing advance.
-    fn drain_completions(&mut self) -> Vec<usize> {
-        let ready = std::mem::take(&mut *lock(&self.completions.ready));
-        let mut tokens = Vec::with_capacity(ready.len());
-        for (token, response) in ready {
-            // A completion for a token no longer in the map belongs to
-            // a connection that died mid-request: drop it.
-            if let Some(conn) = self.conns.get_mut(&token) {
-                conn.in_flight = false;
-                conn.append_response(&response);
-                tokens.push(token);
-            }
-        }
-        tokens
-    }
-
-    /// Moves one connection forward: dispatch the next inbox item(s),
-    /// flush, re-arm poll interest, and reap it if finished. Safe to
-    /// call repeatedly and with stale tokens.
+    /// Moves one connection forward: retry its parked suggest, answer
+    /// the next inbox item(s), flush, re-arm poll interest, and reap it
+    /// if finished. Safe to call repeatedly and with stale tokens.
     fn advance(&mut self, token: usize) {
         let draining = self.draining;
         let Some(conn) = self.conns.get_mut(&token) else { return };
+        if let Some(parked) = conn.parked.take() {
+            match self.manager.resume(parked, &conn.wake) {
+                Handled::Answer(response) => conn.append_response(&response),
+                Handled::Parked(parked) => conn.parked = Some(parked),
+            }
+        }
 
-        // Serial pipeline: local error items render immediately; a real
-        // request goes to the pool and blocks this connection's queue
-        // (and only this connection's) until its completion returns.
-        while !conn.in_flight && !conn.dead {
+        // Serial pipeline: a parked suggest blocks this connection's
+        // queue (and only this connection's) until it is answered.
+        while conn.parked.is_none() && !conn.dead {
             match conn.inbox.pop_front() {
                 None => break,
                 Some(InboxItem::TooLong) => {
@@ -489,23 +471,17 @@ impl<'m> Reactor<'m> {
                         let _read = robotune_obs::span("service.frame_read");
                         robotune_obs::TraceCtx::mint()
                     };
-                    // A request that cannot wait is answered here: two
-                    // thread hand-offs fewer for every request queued
-                    // behind it on this connection.
-                    let inline = {
+                    let handled = {
                         let _trace = robotune_obs::adopt(ctx);
                         let _span = robotune_obs::span("service.dispatch");
-                        self.manager.handle_line_inline(&line)
+                        self.manager.handle(&line, &conn.wake)
                     };
-                    if let Some(response) = inline {
-                        conn.append_response(&response);
-                        continue;
-                    }
-                    conn.in_flight = true;
-                    if self.job_tx.send(Job { token, line, ctx }).is_err() {
-                        // Dispatch pool gone: only possible mid-teardown.
-                        conn.in_flight = false;
-                        conn.dead = true;
+                    match handled {
+                        Handled::Answer(response) => conn.append_response(&response),
+                        Handled::Parked(parked) => {
+                            self.deadlines.push_back((parked.deadline, token));
+                            conn.parked = Some(parked);
+                        }
                     }
                 }
             }
@@ -578,12 +554,12 @@ impl<'m> Reactor<'m> {
 
 /// Runs the daemon on `listener` until a `shutdown` request drains it.
 ///
-/// Structure: one scope holds the compute workers (session steps), the
-/// dispatch pool (protocol handling), and the reactor on the calling
-/// thread. The reactor returning unblocks everything — dropping the
-/// job sender stops the dispatch pool, `begin_shutdown` has already
-/// stopped the compute workers — and once the scope joins, the shared
-/// store is checkpointed (snapshot + WAL truncate) exactly once.
+/// Structure: one scope holds the compute workers (session steps) and
+/// the reactor on the calling thread, which answers every request.
+/// The reactor returns once a drain completes, by which time
+/// `begin_shutdown` has stopped the compute workers; once the scope
+/// joins, the shared store is checkpointed (snapshot + WAL truncate)
+/// exactly once.
 pub fn serve(listener: TcpListener, manager: &SessionManager) -> io::Result<()> {
     listener.set_nonblocking(true)?;
     let poll = Poll::new()?;
@@ -595,13 +571,6 @@ pub fn serve(listener: TcpListener, manager: &SessionManager) -> io::Result<()> 
         for _ in 0..manager.options().workers.max(1) {
             scope.spawn(|| manager.worker_loop());
         }
-        let (job_tx, job_rx) = std::sync::mpsc::channel::<Job>();
-        let job_rx = Arc::new(Mutex::new(job_rx));
-        for _ in 0..manager.options().dispatch_workers.max(1) {
-            let jobs = Arc::clone(&job_rx);
-            let done = Arc::clone(&completions);
-            scope.spawn(move || dispatch_loop(manager, &jobs, &done));
-        }
         let mut reactor = Reactor {
             manager,
             poll,
@@ -610,13 +579,11 @@ pub fn serve(listener: TcpListener, manager: &SessionManager) -> io::Result<()> 
             accept_resume_at: None,
             conns: HashMap::new(),
             next_token: FIRST_CONN,
-            job_tx,
             completions,
+            deadlines: VecDeque::new(),
             draining: false,
         };
         reactor.run()
-        // `reactor` (and with it the job sender) drops here, releasing
-        // the dispatch pool; the scope then joins every thread.
     })?;
     // Every worker and connection has exited: quiesce, then persist.
     if let Err(e) = manager.store().checkpoint() {

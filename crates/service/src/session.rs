@@ -2,12 +2,12 @@
 //! [`RoboTuneStepper`] held as plain data, plus the ask/tell bookkeeping
 //! the protocol needs.
 //!
-//! A session owns no thread. A compute worker runs
-//! [`ServedSession::step`] — the stored tell into the stepper, then the
-//! stepper's next ask — under the session's stepper lock; `suggest`
-//! hands that ask out — parking its thread until a step unparks it, if
-//! the ask is not ready yet — and `observe` stores the client's
-//! measurement for the next step. The stepper is the same one
+//! A session owns no thread, and no thread waits for it. A compute
+//! worker runs [`ServedSession::step`] — the stored tell into the
+//! stepper, then the stepper's next ask — under the session's stepper
+//! lock; `suggest` hands that ask out, or leaves a [`Wake`] for the
+//! step to run; and `observe` stores the client's measurement for the
+//! next step. The stepper is the same one
 //! [`RoboTune::tune_workload`](robotune::RoboTune::tune_workload)
 //! drives, so the served trajectory at seed `S` is bit-identical to an
 //! in-process run at seed `S` by construction.
@@ -25,8 +25,6 @@ use robotune_stats::rng_from_seed;
 use robotune_tuners::Evaluation;
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::thread::Thread;
-use std::time::{Duration, Instant};
 
 /// Hard cap on a session's recorded config trajectory (asks + tells).
 /// Oldest entries roll off; the drop count is kept for the flight dump.
@@ -35,6 +33,10 @@ pub const TRAJECTORY_CAPACITY: usize = 4096;
 fn lock<'a, T: ?Sized>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
+
+/// A wake-up for a `suggest` that found no ask ready, run once by the
+/// session's next step or close. Registrations compare by pointer.
+pub type Wake = Arc<dyn Fn() + Send + Sync>;
 
 /// Where a session is in its lifecycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -163,7 +165,6 @@ pub enum SuggestReply {
 }
 
 /// The protocol's view of a session, behind one short-held lock.
-#[derive(Debug)]
 struct Ledger {
     state: SessionState,
     /// The next ask, computed by a step and not yet handed out.
@@ -173,8 +174,8 @@ struct Ledger {
     /// The measurement `observe` stored for the next step, with the
     /// causal context of the observing request.
     tell: Option<(Evaluation, TraceCtx)>,
-    /// Threads parked in `suggest` until a step or a close wakes them.
-    waiters: Vec<Thread>,
+    /// Wake-ups of waiting `suggest`s, run by the next step or close.
+    waiters: Vec<Wake>,
     stats: SessionStats,
     outcome: Option<SessionOutcome>,
     trajectory: Trajectory,
@@ -283,15 +284,17 @@ impl ServedSession {
     /// that has read its `finished` answer.
     pub fn step(&self, on_finish: impl FnOnce()) -> bool {
         let mut guard = lock(&self.stepper);
-        let Some(stepper) = guard.as_mut() else {
-            return false;
-        };
         let tell = {
             let mut l = lock(&self.ledger);
             if l.state != SessionState::Running {
+                // Closed while this step held the stepper: see `close`.
+                *guard = None;
                 return false;
             }
             l.tell.take()
+        };
+        let Some(stepper) = guard.as_mut() else {
+            return false;
         };
         // Telemetry only — neither touches the RNG or the data, so
         // served trajectories stay bit-identical either way.
@@ -303,10 +306,10 @@ impl ServedSession {
         let step = stepper.ask();
         let mut l = lock(&self.ledger);
         if l.state != SessionState::Running {
+            *guard = None;
             return false;
         }
-        l.waiters.drain(..).for_each(|t| t.unpark());
-        match step {
+        let finished = match step {
             Step::Ask { config, cap_s } => {
                 // Asks are handed out one at a time, so the next index is
                 // the number handed out so far.
@@ -321,42 +324,28 @@ impl ServedSession {
                 *guard = None;
                 true
             }
-        }
+        };
+        l.waiters.drain(..).for_each(|wake| wake());
+        // Release the stepper before the ledger: see `close`.
+        drop(guard);
+        finished
     }
 
-    /// Hands out the next ask, waiting up to `timeout` for a step to
-    /// compute it.
-    pub fn suggest(&self, timeout: Duration) -> Result<SuggestReply, ProtoError> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            let left = {
-                let mut l = lock(&self.ledger);
-                if let Some(reply) = l.try_suggest()? {
-                    return Ok(reply);
-                }
-                let left = deadline.saturating_duration_since(Instant::now());
-                if left.is_zero() {
-                    return Err(ProtoError::new(
-                        ErrorCode::Timeout,
-                        "pipeline produced no suggestion in time; retry",
-                    ));
-                }
-                let me = std::thread::current();
-                if !l.waiters.iter().any(|t| t.id() == me.id()) {
-                    l.waiters.push(me);
-                }
-                left
-            };
-            // A step or a close unparks us; an unpark that lands before
-            // the park makes it return at once, so none is lost.
-            std::thread::park_timeout(left);
+    /// Hands out the ready ask, or registers `wake` and answers
+    /// `Ok(None)` while a step computes it. Check and registration share
+    /// one critical section, so no step slips between them unseen.
+    pub fn suggest(&self, wake: &Wake) -> Result<Option<SuggestReply>, ProtoError> {
+        let mut l = lock(&self.ledger);
+        let reply = l.try_suggest()?;
+        if reply.is_none() && !l.waiters.iter().any(|w| Arc::ptr_eq(w, wake)) {
+            l.waiters.push(Arc::clone(wake));
         }
+        Ok(reply)
     }
 
-    /// Whether `suggest` would answer at once, without waiting for a step.
-    pub fn suggest_ready(&self) -> bool {
-        let l = lock(&self.ledger);
-        l.state != SessionState::Running || l.ready.is_some() || l.outstanding.is_some()
+    /// Withdraws `wake`, so no later step or close runs it.
+    pub fn stop_waiting(&self, wake: &Wake) {
+        lock(&self.ledger).waiters.retain(|w| !Arc::ptr_eq(w, wake));
     }
 
     /// Stores the client's measurement for the next step. Returns the
@@ -419,22 +408,24 @@ impl ServedSession {
         }
     }
 
-    /// Cancels the session and drops its pipeline, which writes nothing
-    /// to the store. Returns whether it was running; finished sessions
-    /// stay `Finished`.
+    /// Cancels the session and drops its pipeline (or leaves that to the
+    /// step holding it), which writes nothing to the store. Returns
+    /// whether it was running; finished sessions stay `Finished`.
     pub fn close(&self) -> bool {
-        {
-            let mut l = lock(&self.ledger);
-            if l.state != SessionState::Running {
-                return false;
-            }
-            l.state = SessionState::Closed;
-            l.ready = None;
-            l.outstanding = None;
-            l.tell = None;
-            l.waiters.drain(..).for_each(|t| t.unpark());
+        let mut l = lock(&self.ledger);
+        if l.state != SessionState::Running {
+            return false;
         }
-        lock(&self.stepper).take();
+        l.state = SessionState::Closed;
+        l.ready = None;
+        l.outstanding = None;
+        l.tell = None;
+        l.waiters.drain(..).for_each(|wake| wake());
+        // Never wait for a step: a step that holds the stepper sees
+        // `Closed` under the ledger lock and drops the stepper itself.
+        if let Ok(mut stepper) = self.stepper.try_lock() {
+            *stepper = None;
+        }
         true
     }
 }
@@ -483,6 +474,7 @@ mod tests {
     use super::*;
     use robotune::InMemoryMemoStore;
     use robotune_space::spark::spark_space;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn spec() -> SessionSpec {
         SessionSpec {
@@ -509,12 +501,25 @@ mod tests {
         assert!(store.workloads().is_empty());
     }
 
+    fn noop() -> Wake {
+        Arc::new(|| {})
+    }
+
+    /// A wake-up that counts how often it ran.
+    fn counter() -> (Wake, Arc<AtomicUsize>) {
+        let runs = Arc::new(AtomicUsize::new(0));
+        let r = Arc::clone(&runs);
+        let wake: Wake = Arc::new(move || {
+            r.fetch_add(1, Ordering::SeqCst);
+        });
+        (wake, runs)
+    }
+
     #[test]
     fn suggest_before_the_first_step_waits_and_observe_is_typed() {
         let s = session("s-2", InMemoryMemoStore::new().into_shared());
         assert_eq!(s.state(), SessionState::Running);
-        let err = s.suggest(Duration::ZERO).unwrap_err();
-        assert_eq!(err.code, ErrorCode::Timeout, "no step has computed an ask yet");
+        assert!(s.suggest(&noop()).unwrap().is_none(), "no step has computed an ask yet");
         let err = s.observe(None, 1.0, ObservedStatus::Completed).unwrap_err();
         assert_eq!(err.code, ErrorCode::NoPendingSuggestion);
         let err = s.observe(None, f64::NAN, ObservedStatus::Completed).unwrap_err();
@@ -536,7 +541,7 @@ mod tests {
             if finished {
                 break;
             }
-            let Ok(SuggestReply::Ask(ask)) = s.suggest(Duration::ZERO) else {
+            let Ok(Some(SuggestReply::Ask(ask))) = s.suggest(&noop()) else {
                 panic!("a step leaves an ask ready");
             };
             // Indexes are monotonic and double-suggest is typed.
@@ -544,7 +549,7 @@ mod tests {
                 assert_eq!(ask.index, prev + 1);
             }
             last_index = Some(ask.index);
-            let err = s.suggest(Duration::ZERO).unwrap_err();
+            let err = s.suggest(&noop()).unwrap_err();
             assert_eq!(err.code, ErrorCode::SuggestionPending);
             // A mismatched echo index is rejected, the right one lands.
             let err = s.observe(Some(ask.index + 7), 10.0, ObservedStatus::Completed);
@@ -552,7 +557,7 @@ mod tests {
             s.observe(Some(ask.index), 10.0, ObservedStatus::Completed).unwrap();
         }
         assert_eq!(s.state(), SessionState::Finished);
-        let Ok(SuggestReply::Finished(out)) = s.suggest(Duration::ZERO) else {
+        let Ok(Some(SuggestReply::Finished(out))) = s.suggest(&noop()) else {
             panic!("a finished session answers its outcome");
         };
         assert_eq!(out.evals, spec().budget);
@@ -571,7 +576,7 @@ mod tests {
         // Take a few asks into selection sampling, then abandon.
         for _ in 0..3 {
             assert!(!s.step(|| {}));
-            let Ok(SuggestReply::Ask(ask)) = s.suggest(Duration::ZERO) else {
+            let Ok(Some(SuggestReply::Ask(ask))) = s.suggest(&noop()) else {
                 panic!("a step leaves an ask ready");
             };
             s.observe(Some(ask.index), 10.0, ObservedStatus::Completed).unwrap();
@@ -579,9 +584,48 @@ mod tests {
         assert!(s.close());
         assert_eq!(s.state(), SessionState::Closed);
         assert!(!s.step(|| {}));
-        let err = s.suggest(Duration::ZERO).unwrap_err();
+        let err = s.suggest(&noop()).unwrap_err();
         assert_eq!(err.code, ErrorCode::SessionClosed);
         assert!(s.outcome().is_none());
         assert!(store.workloads().is_empty(), "a closed session writes nothing");
+    }
+
+    #[test]
+    fn a_step_or_a_close_runs_each_registered_wake_once() {
+        let s = session("s-5", InMemoryMemoStore::new().into_shared());
+        let (wake, runs) = counter();
+        // Registering the same wake-up twice keeps one registration.
+        assert!(s.suggest(&wake).unwrap().is_none());
+        assert!(s.suggest(&wake).unwrap().is_none());
+        let (withdrawn, withdrawn_runs) = counter();
+        assert!(s.suggest(&withdrawn).unwrap().is_none());
+        s.stop_waiting(&withdrawn);
+        assert!(!s.step(|| {}));
+        assert_eq!(runs.load(Ordering::SeqCst), 1, "the step runs the wake-up once");
+        assert_eq!(withdrawn_runs.load(Ordering::SeqCst), 0, "a withdrawn wake-up never runs");
+        let Ok(Some(SuggestReply::Ask(ask))) = s.suggest(&wake) else {
+            panic!("the step left an ask ready");
+        };
+        assert_eq!(ask.index, 0);
+        assert_eq!(s.suggest(&wake).unwrap_err().code, ErrorCode::SuggestionPending);
+
+        // Waiting for the next step, the session closes instead.
+        let s = session("s-6", InMemoryMemoStore::new().into_shared());
+        let (wake, runs) = counter();
+        assert!(s.suggest(&wake).unwrap().is_none());
+        assert!(s.close());
+        assert_eq!(runs.load(Ordering::SeqCst), 1, "the close runs the wake-up");
+        assert_eq!(s.suggest(&wake).unwrap_err().code, ErrorCode::SessionClosed);
+    }
+
+    #[test]
+    fn a_close_during_a_step_leaves_the_stepper_to_that_step() {
+        let s = session("s-7", InMemoryMemoStore::new().into_shared());
+        let held = lock(&s.stepper);
+        assert!(s.close(), "close does not wait for the stepper");
+        assert!(held.is_some(), "the holder's stepper is left in place");
+        drop(held);
+        assert!(!s.step(|| {}));
+        assert!(lock(&s.stepper).is_none(), "the next step drops it");
     }
 }
