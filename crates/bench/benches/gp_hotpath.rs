@@ -1,17 +1,14 @@
 //! GP hot-path micro-benchmark.
 //!
 //! Times a full `suggest` at n=100 (hyperfit plus nomination), the
-//! hyperfit alone with its restarts on scoped threads and serially, and
-//! the posterior over 256 queries batched vs one `predict` call at a
-//! time, and the same 256 posteriors with their gradients (what one
-//! value-and-gradient evaluation of the acquisition search costs). Both
-//! restart strategies produce bit-identical suggestions at a
-//! fixed seed (see `tests/gp_hotpath.rs`), so the comparison is purely
-//! about time.
+//! hyperfit alone, the posterior over 256 queries batched vs one
+//! `predict` call at a time, and the same 256 posteriors with their
+//! gradients (what one value-and-gradient evaluation of the acquisition
+//! search costs).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use robotune_bo::{BoEngine, BoOptions};
-use robotune_gp::{fit_gp, FitStrategy, GpModel, HyperFitOptions, Matern52};
+use robotune_gp::{fit_gp, GpModel, HyperFitOptions, Matern52};
 use robotune_stats::rng_from_seed;
 
 const DIM: usize = 5;
@@ -51,19 +48,14 @@ fn bench_hyperfit(c: &mut Criterion) {
     let ys: Vec<f64> = ys.to_vec();
     let mut g = c.benchmark_group("gp_hotpath");
     g.sample_size(10);
-    for (name, strategy) in [
-        ("fit_gp_n100_parallel", FitStrategy::Parallel),
-        ("fit_gp_n100_serial", FitStrategy::Serial),
-    ] {
-        let opts = HyperFitOptions { strategy, ..HyperFitOptions::default() };
-        g.bench_function(name, |b| {
-            b.iter_batched(
-                || rng_from_seed(7),
-                |mut rng| fit_gp(&xs, &ys, &opts, None, &mut rng).expect("bench fit"),
-                BatchSize::SmallInput,
-            );
-        });
-    }
+    let opts = HyperFitOptions::default();
+    g.bench_function("fit_gp_n100", |b| {
+        b.iter_batched(
+            || rng_from_seed(7),
+            |mut rng| fit_gp(&xs, &ys, &opts, None, &mut rng).expect("bench fit"),
+            BatchSize::SmallInput,
+        );
+    });
     g.finish();
 }
 

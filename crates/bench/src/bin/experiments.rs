@@ -225,6 +225,7 @@ fn dispatch(cmd: &str, args: &Args) {
             eprintln!(
                 "usage: experiments <fig2|fig3|fig4|fig5|fig6|fig7|fig8|fig9|tab2|default|ablation|extras|chaos|mf|all> \
                  [--reps N] [--budget N] [--out DIR] [--trace FILE] [--profile FILE] [--faults none|transient|hostile]\n\
+                 \x20      (extras is the early-stopping study: EarlyStop off vs on, KM-D1)\n\
                  \x20      experiments bench [--quick] [--reps N] [--out DIR] [--campaign NAME] [--check --baseline FILE [--manifest FILE]] [--validate FILE] [--tolerance PCT]\n\
                  \x20      experiments serve [--port N] [--store DIR] [--workers N] [--queue N] [--flight-dir DIR] [--no-telemetry]\n\
                  \x20      experiments loadgen [--addr HOST:PORT] [--tenants N] [--rate R] [--hold S] [--budget N] [--poll-ms N] [--seed N] [--faults none|transient|hostile] [--expect-warm] [--slo-suggest-p99-ms MS] [--slo-observe-p99-ms MS] [--shutdown] [--json PATH]\n\
@@ -311,14 +312,7 @@ fn grid_outputs(cmd: &str, args: &Args, grid: &GridResults) {
 }
 
 fn run_extras(args: &Args) -> String {
-    use robotune_bench::exp::extras;
-    let mut md = String::new();
-    md.push_str(&extras::pattern_search(args.reps, args.budget));
-    md.push('\n');
-    md.push_str(&extras::early_stopping(args.reps, args.budget));
-    md.push('\n');
-    md.push_str(&extras::ard_kernel(args.reps));
-    md
+    robotune_bench::exp::extras::early_stopping(args.reps, args.budget)
 }
 
 fn run_ablations(args: &Args) -> String {

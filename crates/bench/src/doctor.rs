@@ -11,7 +11,7 @@
 //! | `stalled_convergence`   | incumbent flat over the last half of the rounds    |
 //! | `ill_conditioned_kernel`| Cholesky condition estimate above 1e8 / 1e12       |
 //! | `fallback_storm`        | > half of GP fits fell back to default θ           |
-//! | `lengthscale_collapse`  | an ARD lengthscale pinned near zero                |
+//! | `lengthscale_collapse`  | the GP lengthscale pinned near zero                |
 //! | `wal_lag`               | store WAL lag above threshold or shard degraded    |
 //! | `slo_burn`              | rolling suggest p99 above the SLO target           |
 //!
@@ -63,7 +63,7 @@ const COND_CRIT: f64 = 1e12;
 /// Fallback-storm ratio over at least this many fits.
 const FALLBACK_RATIO: f64 = 0.5;
 const FALLBACK_MIN_FITS: u64 = 4;
-/// An ARD lengthscale at the collapse floor.
+/// A lengthscale at the collapse floor.
 const LENGTHSCALE_FLOOR: f64 = 1e-3;
 /// Rounds needed before flat-incumbent detection means anything.
 const STALL_MIN_ROUNDS: usize = 6;
@@ -117,15 +117,15 @@ pub fn run_session_rules(diag: &Value) -> Vec<Finding> {
         }
     }
 
-    // lengthscale_collapse: an ARD dimension pinned at the floor means
-    // the kernel treats that axis as pure noise — usually a scaling bug
-    // or a degenerate observation set.
+    // lengthscale_collapse: a lengthscale pinned at the floor means the
+    // kernel treats the inputs as pure noise — usually a scaling bug or a
+    // degenerate observation set.
     if let Some(ls) = summary["gp_min_lengthscale"].as_f64() {
         if ls < LENGTHSCALE_FLOOR {
             findings.push(Finding {
                 rule: "lengthscale_collapse",
                 severity: Severity::Warning,
-                message: format!("minimum ARD lengthscale {ls:.3e} is below {LENGTHSCALE_FLOOR:e}"),
+                message: format!("minimum lengthscale {ls:.3e} is below {LENGTHSCALE_FLOOR:e}"),
             });
         }
     }

@@ -6,7 +6,7 @@ use robotune_linalg::Matrix;
 
 use crate::error::GpError;
 use crate::kernel::{Kernel, Matern52};
-use crate::prepared::{factor_with_jitter_tracked, CachedKernel, PreparedData};
+use crate::prepared::{factor_with_jitter_tracked, PreparedData};
 
 /// A fitted Gaussian-process regression model.
 ///
@@ -336,13 +336,11 @@ impl GpModel<Matern52> {
             dvar[d] = var_scale * offsets(w);
         }
     }
-}
 
-impl<K: CachedKernel> GpModel<K> {
     /// Fits the GP from a [`PreparedData`] cache, skipping re-validation,
     /// re-standardisation and distance recomputation. Bit-identical to
     /// [`GpModel::fit`] on the same `(x, y, kernel, noise)`.
-    pub fn fit_prepared(data: &PreparedData, kernel: K, noise: f64) -> Result<Self, GpError> {
+    pub fn fit_prepared(data: &PreparedData, kernel: Matern52, noise: f64) -> Result<Self, GpError> {
         let _span = robotune_obs::span("gp.fit");
         let t0 = robotune_obs::is_enabled().then(Instant::now);
         if !noise.is_finite() || noise < 0.0 {

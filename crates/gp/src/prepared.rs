@@ -11,94 +11,37 @@
 //! factorisation — no coordinate clones, no re-standardisation, no model
 //! construction.
 //!
-//! Every cached evaluation is **bit-identical** to the direct one: the
-//! kernels' [`Kernel::eval`] implementations compute the same
-//! hyperparameter-free pair statistic this module caches and pass it
-//! through the same entry point, so a model fitted from the cache equals
-//! one fitted from the coordinates.
+//! Every cached evaluation is **bit-identical** to the direct one:
+//! [`Matern52`] evaluates from coordinates through the same
+//! hyperparameter-free pair statistic this module caches
+//! ([`Matern52::eval_sqrt5_dist`]), so a model fitted from the cache
+//! equals one fitted from the coordinates.
 
 use robotune_linalg::{sq_dist, Cholesky, Matrix};
 
 use crate::error::GpError;
-use crate::kernel::{sqrt5_dist, Kernel, Matern52, Matern52Ard};
-
-/// Kernels that can evaluate a training-pair covariance from
-/// [`PreparedData`]'s cached pairwise statistics.
-pub trait CachedKernel: Kernel {
-    /// Covariance between training points `i` and `j` (callers only ask
-    /// for the lower triangle, `j ≤ i`), bit-identical to
-    /// `self.eval(&x[i], &x[j])`.
-    fn eval_cached(&self, data: &PreparedData, i: usize, j: usize) -> f64;
-}
-
-impl CachedKernel for Matern52 {
-    fn eval_cached(&self, data: &PreparedData, i: usize, j: usize) -> f64 {
-        match &data.pairs {
-            Pairs::Isotropic(r5) => self.eval_sqrt5_dist(r5[(i, j)]),
-            // Prepared for ARD (see [`PreparedData::prepare_ard`]): fall
-            // back to the direct evaluation — correct, just uncached.
-            Pairs::Ard(_) => self.eval(&data.x[i], &data.x[j]),
-        }
-    }
-}
-
-impl CachedKernel for Matern52Ard {
-    fn eval_cached(&self, data: &PreparedData, i: usize, j: usize) -> f64 {
-        match &data.pairs {
-            Pairs::Ard(diffs) if diffs.len() == self.length_scales.len() => {
-                let r2: f64 = diffs
-                    .iter()
-                    .zip(&self.length_scales)
-                    .map(|(m, &l)| {
-                        let d = m[(i, j)] / l;
-                        d * d
-                    })
-                    .sum();
-                self.eval_scaled_sq_dist(r2)
-            }
-            _ => self.eval(&data.x[i], &data.x[j]),
-        }
-    }
-}
-
-/// The hyperparameter-free pair statistics of one training set
-/// (lower triangle, `j < i`; the diagonal stays zero).
-#[derive(Debug, Clone)]
-enum Pairs {
-    /// `√5 · ‖x_i − x_j‖`, the isotropic Matérn argument before `/ ℓ`.
-    Isotropic(Matrix),
-    /// Per-dimension signed differences `x_i[k] − x_j[k]`.
-    Ard(Vec<Matrix>),
-}
+use crate::kernel::{sqrt5_dist, Matern52};
 
 /// Precomputed quantities of a fixed training set, reused across all
 /// hyperparameter candidates of one fit.
 #[derive(Debug, Clone)]
 pub struct PreparedData {
     pub(crate) x: Vec<Vec<f64>>,
-    pairs: Pairs,
+    /// `√5 · ‖x_i − x_j‖` strictly below the diagonal (`j < i`), the
+    /// Matérn argument before `/ ℓ`; zeros elsewhere.
+    r5: Matrix,
     pub(crate) y_norm: Vec<f64>,
     pub(crate) y_mean: f64,
     pub(crate) y_std: f64,
 }
 
 impl PreparedData {
-    /// Validates and preprocesses a training set for isotropic kernels:
-    /// standardised targets plus the pairwise `√5 · ‖x_i − x_j‖` cache.
+    /// Validates and preprocesses a training set: standardised targets
+    /// plus the pairwise `√5 · ‖x_i − x_j‖` cache.
     ///
     /// Returns the same typed [`GpError::InvalidInput`] cases as
     /// [`crate::model::GpModel::fit`].
     pub fn prepare(x: Vec<Vec<f64>>, y: &[f64]) -> Result<Self, GpError> {
-        Self::new(x, y, false)
-    }
-
-    /// Like [`PreparedData::prepare`], but caching the per-dimension
-    /// differences an ARD kernel needs instead of the isotropic distances.
-    pub fn prepare_ard(x: Vec<Vec<f64>>, y: &[f64]) -> Result<Self, GpError> {
-        Self::new(x, y, true)
-    }
-
-    fn new(x: Vec<Vec<f64>>, y: &[f64], with_diffs: bool) -> Result<Self, GpError> {
         if x.len() != y.len() {
             return Err(GpError::InvalidInput("x/y length mismatch"));
         }
@@ -120,48 +63,34 @@ impl PreparedData {
         let y_std = if var > 0.0 { var.sqrt() } else { 1.0 };
         let y_norm: Vec<f64> = y.iter().map(|&v| (v - y_mean) / y_std).collect();
 
-        let pairs = if with_diffs {
-            let dim = x[0].len();
-            Pairs::Ard(
-                (0..dim)
-                    .map(|k| lower_triangle(n, |i, j| x[i][k] - x[j][k]))
-                    .collect(),
-            )
-        } else {
-            Pairs::Isotropic(lower_triangle(n, |i, j| sqrt5_dist(sq_dist(&x[i], &x[j]))))
-        };
+        let mut r5 = Matrix::zeros(n, n);
+        for i in 0..n {
+            for j in 0..i {
+                r5[(i, j)] = sqrt5_dist(sq_dist(&x[i], &x[j]));
+            }
+        }
 
         Ok(PreparedData {
             x,
-            pairs,
+            r5,
             y_norm,
             y_mean,
             y_std,
         })
     }
 
-    /// Number of training observations.
-    pub fn n_observations(&self) -> usize {
-        self.x.len()
-    }
-
-    /// The training inputs.
-    pub fn x(&self) -> &[Vec<f64>] {
-        &self.x
-    }
-
     /// Builds the (lower-triangle plus diagonal) kernel matrix
     /// `K + σ_n² I` from the cache. The Cholesky factorisation only reads
     /// the lower triangle, so the upper triangle is left unfilled — half
     /// the kernel evaluations of a full build.
-    pub(crate) fn kernel_matrix<K: CachedKernel>(&self, kernel: &K, noise: f64) -> Matrix {
+    pub(crate) fn kernel_matrix(&self, kernel: &Matern52, noise: f64) -> Matrix {
         let n = self.x.len();
         let mut k = Matrix::zeros(n, n);
         for i in 0..n {
             for j in 0..i {
-                k[(i, j)] = kernel.eval_cached(self, i, j);
+                k[(i, j)] = kernel.eval_sqrt5_dist(self.r5[(i, j)]);
             }
-            k[(i, i)] = kernel.diag(&self.x[i]) + noise;
+            k[(i, i)] = kernel.variance + noise;
         }
         k
     }
@@ -172,7 +101,7 @@ impl PreparedData {
     ///
     /// Bit-identical to
     /// `GpModel::fit(x, y, kernel, noise)?.log_marginal_likelihood()`.
-    pub fn log_marginal<K: CachedKernel>(&self, kernel: &K, noise: f64) -> Result<f64, GpError> {
+    pub fn log_marginal(&self, kernel: &Matern52, noise: f64) -> Result<f64, GpError> {
         if !noise.is_finite() || noise < 0.0 {
             return Err(GpError::InvalidInput("noise variance must be non-negative"));
         }
@@ -185,29 +114,17 @@ impl PreparedData {
         Ok(-0.5 * fit - 0.5 * chol.log_det() - 0.5 * n * (2.0 * std::f64::consts::PI).ln())
     }
 
-    /// Number of log-hyperparameters [`PreparedData::log_marginal_grad`]
-    /// takes: `(log ℓ, log σ², log σ_n²)` for data prepared by
-    /// [`PreparedData::prepare`], `(log ℓ_1 … log ℓ_d, log σ², log σ_n²)`
-    /// for [`PreparedData::prepare_ard`].
-    pub fn n_log_params(&self) -> usize {
-        match &self.pairs {
-            Pairs::Isotropic(_) => 3,
-            Pairs::Ard(diffs) => diffs.len() + 2,
-        }
-    }
-
     /// Log marginal likelihood of the Matérn 5/2 + white-noise GP at the
-    /// log-hyperparameters `theta` (layout in
-    /// [`PreparedData::n_log_params`]), writing its gradient with respect
-    /// to `theta` into `grad`.
+    /// log-hyperparameters `theta = [log ℓ, log σ², log σ_n²]`, writing its
+    /// gradient with respect to `theta` into `grad`.
     ///
     /// One kernel fill evaluates each pair's `e^{−s}` once and derives
     /// both `K` and `∂K/∂log ℓ` from it; then one Cholesky (same jitter
     /// escalation as every fit), `α = K⁻¹ỹ` and `K⁻¹` once, and each
     /// component is `½ tr((ααᵀ − K⁻¹) ∂K/∂θ)`. `K` is built exactly as
-    /// [`Matern52`] / [`Matern52Ard`] build it, so the value is
-    /// bit-identical to [`PreparedData::log_marginal`] at the same
-    /// hyperparameters. Added jitter is treated as a constant.
+    /// [`Matern52`] builds it, so the value is bit-identical to
+    /// [`PreparedData::log_marginal`] at the same hyperparameters. Added
+    /// jitter is treated as a constant.
     pub fn log_marginal_grad(&self, theta: &[f64], grad: &mut [f64]) -> Result<f64, GpError> {
         if grad.len() != theta.len() {
             return Err(GpError::InvalidInput(
@@ -225,45 +142,30 @@ impl PreparedData {
     /// [`PreparedData::gradient`] finishes from. A line search that
     /// rejects the point never pays for the gradient.
     pub(crate) fn log_marginal_at(&self, theta: &[f64]) -> Result<LikelihoodAt, GpError> {
-        let p = self.n_log_params();
-        if theta.len() != p {
+        let [log_l, log_v, log_n] = theta else {
             return Err(GpError::InvalidInput(
                 "hyperparameter vector has the wrong length",
             ));
-        }
-        let (variance, noise) = (theta[p - 2].exp(), theta[p - 1].exp());
-        let scales: Vec<f64> = theta[..p - 2].iter().map(|t| t.exp()).collect();
+        };
+        let (length, variance, noise) = (log_l.exp(), log_v.exp(), log_n.exp());
         let positive = |v: f64| v > 0.0 && v.is_finite();
-        if !positive(variance) || !noise.is_finite() || !scales.iter().all(|&l| positive(l)) {
+        if !positive(variance) || !noise.is_finite() || !positive(length) {
             return Err(GpError::InvalidInput("hyperparameters out of range"));
         }
         robotune_obs::incr("gp.distcache_hit", 1);
         let n = self.x.len();
-        // K in the lower triangle (all the Cholesky reads), each pair's
-        // derivative factor in the upper one.
-        let mut k = match &self.pairs {
-            Pairs::Isotropic(r5) => fill_with_derivative(
-                n,
-                variance,
-                noise,
-                |i, j| r5[(i, j)] / scales[0],
-                |s| s * s * (1.0 + s) / 3.0,
-            ),
-            Pairs::Ard(diffs) => {
-                let s_of = |i: usize, j: usize| {
-                    let r2: f64 = diffs
-                        .iter()
-                        .zip(&scales)
-                        .map(|(m, &l)| {
-                            let d = m[(i, j)] / l;
-                            d * d
-                        })
-                        .sum();
-                    sqrt5_dist(r2)
-                };
-                fill_with_derivative(n, variance, noise, s_of, |s| 5.0 / 3.0 * (1.0 + s))
+        // K in the lower triangle (all the Cholesky reads) and, from the
+        // same e^{−s}, ∂K/∂log ℓ = σ²·s²(1 + s)/3·e^{−s} in the upper one.
+        let mut k = Matrix::zeros(n, n);
+        for i in 0..n {
+            for j in 0..i {
+                let s = self.r5[(i, j)] / length;
+                let e = (-s).exp();
+                k[(i, j)] = variance * (1.0 + s + s * s / 3.0) * e;
+                k[(j, i)] = variance * (s * s * (1.0 + s) / 3.0) * e;
             }
-        };
+            k[(i, i)] = variance + noise;
+        }
         let (chol, jitter) = factor_with_jitter_tracked(&mut k)?;
         let alpha = chol.solve(&self.y_norm);
         let nf = n as f64;
@@ -272,7 +174,6 @@ impl PreparedData {
         Ok(LikelihoodAt {
             lml,
             noise,
-            scales,
             k,
             chol,
             alpha,
@@ -286,8 +187,7 @@ impl PreparedData {
     pub(crate) fn gradient(&self, at: LikelihoodAt, grad: &mut [f64]) {
         let LikelihoodAt {
             noise,
-            scales,
-            mut k,
+            k,
             chol,
             alpha,
             fit,
@@ -295,14 +195,12 @@ impl PreparedData {
             ..
         } = at;
         let n = alpha.len();
-        let p = grad.len();
-        // W = ααᵀ − K⁻¹ is symmetric, so each length-scale component is
-        // Σ_{i>j} W_ij ∂K_ij (the diagonal does not depend on ℓ). K's
-        // lower triangle is spent after the factorisation, so it takes
-        // W_ij · dk_ij for ARD's per-dimension passes. The signal part of
-        // K is K − (σ_n² + jitter)·I and tr(W K) = ỹᵀα − n, so the σ²
-        // component needs only tr(W). That form also stays accurate when
-        // the jitter makes K⁻¹'s entries huge and W · K cancels.
+        // W = ααᵀ − K⁻¹ is symmetric, so the length-scale component is
+        // Σ_{i>j} W_ij ∂K_ij (the diagonal does not depend on ℓ). The
+        // signal part of K is K − (σ_n² + jitter)·I and tr(W K) = ỹᵀα − n,
+        // so the σ² component needs only tr(W). That form also stays
+        // accurate when the jitter makes K⁻¹'s entries huge and W · K
+        // cancels.
         let kinv = chol.into_inverse_lower();
         let mut trace_w = 0.0;
         let mut g_ls = 0.0;
@@ -310,28 +208,12 @@ impl PreparedData {
             let ai = alpha[i];
             trace_w += ai * ai - kinv[(i, i)];
             for (j, (&inv, &aj)) in kinv.row(i)[..i].iter().zip(&alpha[..i]).enumerate() {
-                let wd = (ai * aj - inv) * k[(j, i)];
-                k[(i, j)] = wd;
-                g_ls += wd;
+                g_ls += (ai * aj - inv) * k[(j, i)];
             }
         }
-        grad[p - 2] = 0.5 * (fit - n as f64 - (noise + jitter) * trace_w);
-        grad[p - 1] = 0.5 * noise * trace_w;
-        match &self.pairs {
-            Pairs::Isotropic(_) => grad[0] = g_ls,
-            Pairs::Ard(diffs) => {
-                for ((g, m), &l) in grad.iter_mut().zip(diffs).zip(&scales) {
-                    let inv_l2 = 1.0 / (l * l);
-                    let mut acc = 0.0;
-                    for i in 0..n {
-                        for (&wd, &delta) in k.row(i)[..i].iter().zip(&m.row(i)[..i]) {
-                            acc += wd * delta * delta;
-                        }
-                    }
-                    *g = acc * inv_l2;
-                }
-            }
-        }
+        grad[0] = g_ls;
+        grad[1] = 0.5 * (fit - n as f64 - (noise + jitter) * trace_w);
+        grad[2] = 0.5 * noise * trace_w;
     }
 }
 
@@ -342,52 +224,13 @@ pub(crate) struct LikelihoodAt {
     /// The log marginal likelihood.
     pub(crate) lml: f64,
     noise: f64,
-    scales: Vec<f64>,
-    /// `K` below the diagonal, derivative factors above it.
+    /// `K` below the diagonal, `∂K/∂log ℓ` above it.
     k: Matrix,
     chol: Cholesky,
     alpha: Vec<f64>,
     /// `ỹᵀα`.
     fit: f64,
     jitter: f64,
-}
-
-/// The Matérn 5/2 kernel matrix `K + σ_n² I` in the lower triangle, from
-/// each pair's scaled distance `s(i, j)`, computed as [`Matern52`] and
-/// [`Matern52Ard`] compute it; and in the upper triangle, at `(j, i)`,
-/// `σ² · dk(s) · e^{−s}` from the same `e^{−s}`: `∂K/∂log ℓ` for the
-/// isotropic kernel (`dk(s) = s²(1 + s)/3`), the per-pair factor of every
-/// `∂K/∂log ℓ_d` for ARD (`dk(s) = (5/3)(1 + s)`).
-fn fill_with_derivative(
-    n: usize,
-    variance: f64,
-    noise: f64,
-    s: impl Fn(usize, usize) -> f64,
-    dk: impl Fn(f64) -> f64,
-) -> Matrix {
-    let mut k = Matrix::zeros(n, n);
-    for i in 0..n {
-        for j in 0..i {
-            let s = s(i, j);
-            let e = (-s).exp();
-            k[(i, j)] = variance * (1.0 + s + s * s / 3.0) * e;
-            k[(j, i)] = variance * dk(s) * e;
-        }
-        k[(i, i)] = variance + noise;
-    }
-    k
-}
-
-/// An `n × n` matrix holding `f(i, j)` strictly below the diagonal and
-/// zeros elsewhere.
-fn lower_triangle(n: usize, f: impl Fn(usize, usize) -> f64) -> Matrix {
-    let mut m = Matrix::zeros(n, n);
-    for i in 0..n {
-        for j in 0..i {
-            m[(i, j)] = f(i, j);
-        }
-    }
-    m
 }
 
 /// Factors `k` (lower triangle), escalating a diagonal jitter from
@@ -447,32 +290,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn cached_ard_log_marginal_is_bit_identical_to_model_fit() {
-        let (x, y) = toy();
-        let data = PreparedData::prepare_ard(x.clone(), &y).unwrap();
-        let kernel = Matern52Ard::new(vec![0.3, 1.2], 1.5);
-        let cached = data.log_marginal(&kernel, 1e-4).unwrap();
-        let direct = GpModel::fit(x, &y, kernel, 1e-4)
-            .unwrap()
-            .log_marginal_likelihood();
-        assert_eq!(cached, direct);
-    }
-
-    #[test]
-    fn ard_kernel_without_diff_cache_falls_back_to_direct_eval() {
-        let (x, y) = toy();
-        // prepare() (no per-dimension diffs) must still give correct ARD
-        // answers through the coordinate fallback.
-        let plain = PreparedData::prepare(x.clone(), &y).unwrap();
-        let ard = PreparedData::prepare_ard(x, &y).unwrap();
-        let kernel = Matern52Ard::new(vec![0.4, 0.9], 1.0);
-        assert_eq!(
-            plain.log_marginal(&kernel, 1e-3).unwrap(),
-            ard.log_marginal(&kernel, 1e-3).unwrap()
-        );
-    }
-
     /// Checks `log_marginal_grad` at `theta` against a fourth-order
     /// central difference (step 1e-2): each component within 1e-5 of the
     /// difference, relative to its magnitude or to 1, whichever is larger.
@@ -481,13 +298,10 @@ mod tests {
         let p = theta.len();
         let mut grad = vec![0.0; p];
         let lml = data.log_marginal_grad(theta, &mut grad).unwrap();
-        let (v, noise) = (theta[p - 2].exp(), theta[p - 1].exp());
-        let direct = if p == 3 {
-            data.log_marginal(&Matern52::new(theta[0].exp(), v), noise)
-        } else {
-            let scales = theta[..p - 2].iter().map(|t| t.exp()).collect();
-            data.log_marginal(&Matern52Ard::new(scales, v), noise)
-        };
+        let direct = data.log_marginal(
+            &Matern52::new(theta[0].exp(), theta[1].exp()),
+            theta[2].exp(),
+        );
         assert_eq!(lml, direct.unwrap(), "θ = {theta:?}");
         let mut scratch = vec![0.0; p];
         let mut at = |i: usize, step: f64| {
@@ -529,27 +343,6 @@ mod tests {
     }
 
     #[test]
-    fn ard_gradient_matches_finite_differences() {
-        let (x, y) = toy();
-        let data = PreparedData::prepare_ard(x, &y).unwrap();
-        for theta in [
-            [-0.7, 0.2, 0.0, -6.9],
-            [-2.5, 1.1, 0.9, -3.0],
-            [0.4, -1.6, -0.8, -0.7],
-        ] {
-            check_gradient(&data, &theta);
-        }
-        let bounds = [BOX[0], BOX[0], BOX[1], BOX[2]];
-        for (i, &(lo, hi)) in bounds.iter().enumerate() {
-            for b in [lo, hi] {
-                let mut theta = [-1.0, -0.4, 0.3, -5.0];
-                theta[i] = b;
-                check_gradient(&data, &theta);
-            }
-        }
-    }
-
-    #[test]
     fn gradient_holds_on_the_jitter_path() {
         // Every point twice with equal targets and a noise floor far below
         // the first jitter step: the factorisation needs jitter, which the
@@ -558,7 +351,7 @@ mod tests {
         let x2: Vec<Vec<f64>> = x.iter().chain(&x).cloned().collect();
         let y2: Vec<f64> = y.iter().chain(&y).copied().collect();
         let theta = [-1.2f64, -1.5, -40.0];
-        let data = PreparedData::prepare(x2.clone(), &y2).unwrap();
+        let data = PreparedData::prepare(x2, &y2).unwrap();
         let m = GpModel::fit_prepared(
             &data,
             Matern52::new(theta[0].exp(), theta[1].exp()),
@@ -570,8 +363,6 @@ mod tests {
             "the duplicate set must take the jitter path"
         );
         check_gradient(&data, &theta);
-        let ard = PreparedData::prepare_ard(x2, &y2).unwrap();
-        check_gradient(&ard, &[-1.2, -0.8, -1.5, -40.0]);
     }
 
     #[test]

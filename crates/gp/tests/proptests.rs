@@ -1,7 +1,7 @@
 //! Property-based tests of GP regression.
 
 use proptest::prelude::*;
-use robotune_gp::{GpModel, Kernel, Matern52, Matern52Ard};
+use robotune_gp::{GpModel, Kernel, Matern52};
 
 fn grid_x(n: usize) -> Vec<Vec<f64>> {
     (0..n).map(|i| vec![i as f64 / n.max(2) as f64]).collect()
@@ -79,19 +79,5 @@ proptest! {
         let x = grid_x(ys.len());
         let m = GpModel::fit(x, &ys, Matern52::new(ell, 1.0), noise).expect("fit");
         prop_assert!(m.log_marginal_likelihood().is_finite());
-    }
-
-    #[test]
-    fn ard_kernel_is_symmetric_and_bounded(
-        a in proptest::collection::vec(0.0f64..1.0, 4),
-        b in proptest::collection::vec(0.0f64..1.0, 4),
-        scales in proptest::collection::vec(0.05f64..5.0, 4),
-        var in 0.1f64..4.0,
-    ) {
-        let k = Matern52Ard::new(scales, var);
-        let kab = k.eval(&a, &b);
-        prop_assert!((kab - k.eval(&b, &a)).abs() < 1e-12);
-        prop_assert!(kab > 0.0 && kab <= var + 1e-12);
-        prop_assert!((k.eval(&a, &a) - var).abs() < 1e-12);
     }
 }

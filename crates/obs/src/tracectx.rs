@@ -4,8 +4,9 @@
 //! Span parentage in [`crate::registry`] is thread-local — an RAII
 //! guard stack. That is exactly right for nesting on one thread and
 //! exactly wrong for the service pipeline, where one request hops from
-//! the reactor thread to a compute worker to GP scoped threads. A
-//! [`TraceCtx`] is the explicit baton for those hops:
+//! the reactor thread to a compute worker, which runs the session's step
+//! (GP fit included) on that one thread. A [`TraceCtx`] is the explicit
+//! baton for that hop:
 //! a `Copy` pair of (trace id, parent span id) minted once per request
 //! and handed across thread boundaries by value.
 //!
@@ -90,7 +91,7 @@ pub(crate) fn ambient() -> TraceCtx {
 /// Installs `ctx` as this thread's ambient trace context until the
 /// returned guard drops (the previous context is restored). Use around
 /// a bounded unit of work handed over from another thread — e.g. one
-/// session step, one scoped-thread restart.
+/// session step.
 pub fn adopt(ctx: TraceCtx) -> AdoptGuard {
     let prev = AMBIENT.with(|c| c.replace(ctx));
     AdoptGuard { prev, _not_send: PhantomData }

@@ -9,7 +9,7 @@ use robotune_tuners::{Evaluation, Fidelity, Objective};
 use crate::cluster::Cluster;
 use crate::event::simulate_event;
 use crate::params::SparkParams;
-use crate::sim::{simulate, Outcome, RunReport};
+use crate::sim::{simulate_plan, Outcome, RunReport};
 use crate::workload::{Dataset, Workload};
 
 /// Which simulation engine evaluates configurations.
@@ -36,9 +36,6 @@ pub struct SparkJob {
     space: ConfigSpace,
     workload: Workload,
     dataset: Dataset,
-    /// When set, this plan replaces `workload.plan(dataset)` — the
-    /// extension point for user-defined workloads.
-    custom_plan: Option<crate::workload::Plan>,
     engine: SimEngine,
     noise_sigma: f64,
     rng: StdRng,
@@ -66,7 +63,6 @@ impl SparkJob {
             space,
             workload,
             dataset,
-            custom_plan: None,
             engine: SimEngine::Analytic,
             noise_sigma: Self::DEFAULT_NOISE_SIGMA,
             rng: rng_from_seed(seed),
@@ -100,14 +96,6 @@ impl SparkJob {
     /// The active fault plan, if any.
     pub fn fault_plan(&self) -> Option<&FaultPlan> {
         self.faults.as_ref()
-    }
-
-    /// Replaces the built-in workload plan with a user-defined one (the
-    /// `workload`/`dataset` passed at construction become labels only).
-    /// See [`crate::sim::simulate_plan`].
-    pub fn with_custom_plan(mut self, plan: crate::workload::Plan) -> Self {
-        self.custom_plan = Some(plan);
-        self
     }
 
     /// Switches the evaluation engine (see [`SimEngine`]). Event mode
@@ -155,22 +143,7 @@ impl SparkJob {
     /// inspecting the model itself. Honours the current fidelity.
     pub fn dry_run(&self, config: &Configuration) -> RunReport {
         let p = SparkParams::extract(&self.space, config);
-        match &self.custom_plan {
-            Some(plan) if self.fidelity.is_full() => {
-                crate::sim::simulate_plan(&self.cluster, &p, plan)
-            }
-            Some(plan) => {
-                crate::sim::simulate_plan(&self.cluster, &p, &plan.at_fidelity(self.fidelity))
-            }
-            None if self.fidelity.is_full() => {
-                simulate(&self.cluster, &p, self.workload, self.dataset)
-            }
-            None => crate::sim::simulate_plan(
-                &self.cluster,
-                &p,
-                &self.workload.plan_at(self.dataset, self.fidelity),
-            ),
-        }
+        simulate_plan(&self.cluster, &p, &self.workload.plan_at(self.dataset, self.fidelity))
     }
 
     /// Runs with noise but no cap; returns the "true" noisy runtime (or
@@ -184,10 +157,7 @@ impl SparkJob {
             SimEngine::Event { task_sigma } => {
                 let seed = self.rng.gen::<u64>();
                 let p = SparkParams::extract(&self.space, config);
-                let plan = match &self.custom_plan {
-                    Some(plan) => plan.at_fidelity(self.fidelity),
-                    None => self.workload.plan_at(self.dataset, self.fidelity),
-                };
+                let plan = self.workload.plan_at(self.dataset, self.fidelity);
                 simulate_event(&self.cluster, &p, &plan, seed, task_sigma)
             }
         };
@@ -360,45 +330,6 @@ mod tests {
     }
 
     #[test]
-    fn custom_plans_drive_the_simulation() {
-        use crate::workload::{Plan, Source, Stage};
-        let space = spark_space();
-        // A tiny one-stage "word count": read 2 GiB, shuffle 200 MiB.
-        let plan = Plan {
-            load: Stage {
-                name: "wordcount",
-                input_mb: 2048.0,
-                source: Source::Hdfs,
-                shuffle_out_mb: 200.0,
-                cpu_per_mb: 0.002,
-                output_mb: 50.0,
-            },
-            iter: None,
-            iterations: 0,
-            finish: None,
-            cache_mb: 0.0,
-            balance_sensitivity: 0.2,
-            recompute_cpu_per_mb: 0.0,
-            object_factor: 0.5,
-            iter_partitions_by_parallelism: false,
-            iter_fetches_over_network: false,
-            hdfs_partition_mb: crate::sim::consts::HDFS_BLOCK_MB,
-        };
-        let job = SparkJob::new(space.clone(), Workload::TeraSort, Dataset::D1, 8)
-            .with_custom_plan(plan);
-        let cfg = tuned_config(&space);
-        let report = job.dry_run(&cfg);
-        let t_custom = report.elapsed_s();
-        // The custom plan is far lighter than TeraSort-D1.
-        let t_ts = SparkJob::new(space, Workload::TeraSort, Dataset::D1, 8)
-            .dry_run(&cfg)
-            .elapsed_s();
-        assert!(t_custom < t_ts, "custom {t_custom:.1}s vs TS {t_ts:.1}s");
-        assert_eq!(report.stages.len(), 1);
-        assert_eq!(report.stages[0].name, "wordcount");
-    }
-
-    #[test]
     fn fault_plan_replays_identically_for_the_same_seed() {
         let space = spark_space();
         let cfg = tuned_config(&space);
@@ -527,23 +458,6 @@ mod tests {
         for _ in 0..5 {
             assert_eq!(plain.evaluate(&cfg, 480.0), tagged.evaluate(&cfg, 480.0));
         }
-    }
-
-    #[test]
-    fn custom_plans_scale_with_fidelity_too() {
-        let space = spark_space();
-        let cfg = tuned_config(&space);
-        let plan = Workload::TeraSort.plan(Dataset::D1);
-        let full = SparkJob::new(space.clone(), Workload::TeraSort, Dataset::D1, 8)
-            .with_custom_plan(plan.clone())
-            .dry_run(&cfg)
-            .elapsed_s();
-        let quarter = SparkJob::new(space, Workload::TeraSort, Dataset::D1, 8)
-            .with_custom_plan(plan)
-            .with_fidelity(Fidelity::new(0.25).unwrap())
-            .dry_run(&cfg)
-            .elapsed_s();
-        assert!(quarter < full, "quarter {quarter:.1}s vs full {full:.1}s");
     }
 
     #[test]

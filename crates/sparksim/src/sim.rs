@@ -152,9 +152,8 @@ pub fn simulate(
     simulate_plan(cluster, p, &workload.plan(dataset))
 }
 
-/// Simulates one run of an arbitrary [`Plan`] — the extension point for
-/// workloads beyond the paper's five (construct a `Plan` directly and
-/// pair it with [`crate::job::SparkJob::with_custom_plan`]).
+/// Simulates one run of a [`Plan`], such as a built-in workload's plan at
+/// a reduced fidelity ([`Workload::plan_at`]).
 pub fn simulate_plan(cluster: &Cluster, p: &SparkParams, plan: &Plan) -> RunReport {
     simulate_with(cluster, p, plan, |profile, layout| {
         assemble_analytic(profile, p, layout.total_slots)

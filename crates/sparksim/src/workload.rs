@@ -142,43 +142,6 @@ pub struct Plan {
     pub hdfs_partition_mb: f64,
 }
 
-impl Stage {
-    fn scaled(&self, fraction: f64) -> Stage {
-        Stage {
-            name: self.name,
-            input_mb: self.input_mb * fraction,
-            source: self.source,
-            shuffle_out_mb: self.shuffle_out_mb * fraction,
-            cpu_per_mb: self.cpu_per_mb,
-            output_mb: self.output_mb * fraction,
-        }
-    }
-}
-
-impl Plan {
-    /// This plan on a `fidelity` fraction of its input: every data volume
-    /// (stage inputs, shuffle and HDFS outputs, the cached RDD) scales by
-    /// the fraction; per-MiB CPU rates, iteration counts and the shape
-    /// parameters stay put. This is how *custom* plans (the ones not built
-    /// from a [`Workload`]) join the fidelity axis.
-    pub fn at_fidelity(&self, fidelity: Fidelity) -> Plan {
-        let f = fidelity.fraction();
-        Plan {
-            load: self.load.scaled(f),
-            iter: self.iter.as_ref().map(|s| s.scaled(f)),
-            iterations: self.iterations,
-            finish: self.finish.as_ref().map(|s| s.scaled(f)),
-            cache_mb: self.cache_mb * f,
-            balance_sensitivity: self.balance_sensitivity,
-            recompute_cpu_per_mb: self.recompute_cpu_per_mb,
-            object_factor: self.object_factor,
-            iter_partitions_by_parallelism: self.iter_partitions_by_parallelism,
-            iter_fetches_over_network: self.iter_fetches_over_network,
-            hdfs_partition_mb: self.hdfs_partition_mb * f,
-        }
-    }
-}
-
 impl Workload {
     /// Short display name used throughout the paper's figures.
     pub fn short_name(self) -> &'static str {
@@ -438,31 +401,6 @@ mod tests {
             assert_eq!(quarter.load.cpu_per_mb, full.load.cpu_per_mb, "{w:?}");
             // plan_at(FULL) is bit-identical to plan().
             assert_eq!(w.plan_at(Dataset::D2, Fidelity::FULL), full, "{w:?}");
-        }
-    }
-
-    #[test]
-    fn custom_plan_at_fidelity_matches_workload_path() {
-        let f16 = Fidelity::new(1.0 / 16.0).unwrap();
-        // Workloads whose stage volumes all scale with input size: the
-        // generic Plan::at_fidelity is exactly the builder's own scaling.
-        for w in [Workload::PageRank, Workload::ConnectedComponents, Workload::TeraSort] {
-            let via_workload = w.plan_at(Dataset::D3, f16);
-            let via_plan = w.plan(Dataset::D3).at_fidelity(f16);
-            assert_eq!(via_workload, via_plan, "{w:?}");
-        }
-        // KM/LR carry tiny constant shuffle terms (centroid/gradient
-        // aggregation does not shrink with the sample); everything that
-        // represents data volume still matches.
-        for w in [Workload::KMeans, Workload::LogisticRegression] {
-            let via_workload = w.plan_at(Dataset::D3, f16);
-            let via_plan = w.plan(Dataset::D3).at_fidelity(f16);
-            assert_eq!(via_workload.load.input_mb, via_plan.load.input_mb, "{w:?}");
-            assert_eq!(via_workload.cache_mb, via_plan.cache_mb, "{w:?}");
-            assert_eq!(
-                via_workload.hdfs_partition_mb, via_plan.hdfs_partition_mb,
-                "{w:?}"
-            );
         }
     }
 

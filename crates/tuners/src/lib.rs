@@ -23,9 +23,7 @@
 //! * [`bestconfig`] — BestConfig's divide-&-diverge sampling + recursive
 //!   bound-and-search (Zhu et al., SoCC '17);
 //! * [`gunther`] — Gunther's genetic algorithm with aggressive selection
-//!   and mutation (Liao et al., Euro-Par '13);
-//! * [`pattern`] — a Hooke–Jeeves pattern-search tuner (an extension; the
-//!   paper cites pattern search but does not evaluate it).
+//!   and mutation (Liao et al., Euro-Par '13).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -35,7 +33,6 @@ pub mod bestconfig;
 pub mod fidelity;
 pub mod gunther;
 pub mod objective;
-pub mod pattern;
 pub mod random;
 pub mod retry;
 pub mod session;
@@ -46,7 +43,6 @@ pub use bestconfig::BestConfig;
 pub use fidelity::{Fidelity, FidelityError};
 pub use gunther::Gunther;
 pub use objective::{Evaluation, FnObjective, Objective};
-pub use pattern::PatternSearch;
 pub use random::RandomSearch;
 pub use retry::{evaluate_with_retry, RetryPolicy, RetryState};
 pub use session::{EvalRecord, TuningSession};

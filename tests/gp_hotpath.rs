@@ -1,14 +1,12 @@
-//! GP hot-path equivalence and NaN-robustness tests.
+//! GP hot-path replay and NaN-robustness tests.
 //!
-//! The hyperfit's restarts run on scoped threads by default. Which thread
-//! finishes first must never matter: the parallel fit has to replay the
-//! serial one bit for bit at a fixed seed — same RNG stream, same
-//! arithmetic, same suggestions — so the trajectories below compare with
-//! `assert_eq!` on raw `f64`s, not tolerances.
+//! A BO trajectory at a fixed seed is a pure function of the seed: the
+//! same RNG stream, the same hyperfit arithmetic, the same suggestions.
+//! The trajectories below are compared on raw `f64` bits, not with
+//! tolerances, and three of them are pinned to recorded fingerprints.
 
 use proptest::prelude::*;
 use robotune_repro::bo::{BoEngine, BoOptions};
-use robotune_repro::gp::{FitStrategy, HyperFitOptions};
 use robotune_repro::stats::rng_from_seed;
 
 /// Runs a 30-round suggest/observe loop on a smooth synthetic objective
@@ -41,32 +39,44 @@ fn trajectory(opts: BoOptions, seed: u64) -> Vec<(Vec<f64>, f64)> {
     out
 }
 
-fn serial_opts() -> BoOptions {
-    BoOptions {
-        hyper: HyperFitOptions {
-            strategy: FitStrategy::Serial,
-            ..HyperFitOptions::default()
-        },
-        ..BoOptions::default()
-    }
+/// FNV-1a over the bits of a trajectory: every suggested coordinate,
+/// then the observed value, round by round.
+fn fingerprint(trajectory: &[(Vec<f64>, f64)]) -> u64 {
+    let words = trajectory
+        .iter()
+        .flat_map(|(x, y)| x.iter().chain(std::iter::once(y)))
+        .map(|v| v.to_bits());
+    words.fold(0xcbf2_9ce4_8422_2325, |h, w| {
+        w.to_le_bytes()
+            .iter()
+            .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+    })
 }
 
+/// The fingerprints of `trajectory(BoOptions::default(), seed)` for seeds
+/// 11, 12 and 13, recorded from the serial restart path while the
+/// threaded one still existed (and matched it bit for bit). A change to
+/// the hyperfit's arithmetic, its start order or its RNG use moves them.
+const TRAJECTORY_PINS: [(u64, u64); 3] = [
+    (11, 0x9bb9_b782_a65b_a10f),
+    (12, 0xd33b_3334_a19d_8dd6),
+    (13, 0x8f0b_7fb0_3351_42e2),
+];
+
 #[test]
-fn parallel_hyperfit_replays_the_serial_trajectory_bit_for_bit() {
-    for seed in [11u64, 12, 13] {
-        let parallel = trajectory(BoOptions::default(), seed);
-        let serial = trajectory(serial_opts(), seed);
-        assert_eq!(
-            parallel, serial,
-            "seed {seed}: parallel restarts must not change a single bit \
-             of the tuning trajectory"
-        );
+fn default_trajectories_match_their_recorded_fingerprints() {
+    for (seed, pin) in TRAJECTORY_PINS {
+        let got = fingerprint(&trajectory(BoOptions::default(), seed));
+        assert_eq!(got, pin, "seed {seed}: fingerprint {got:#018x} moved");
     }
 }
 
 #[test]
 fn serial_hyperfit_replays_itself() {
-    assert_eq!(trajectory(serial_opts(), 21), trajectory(serial_opts(), 21));
+    assert_eq!(
+        trajectory(BoOptions::default(), 21),
+        trajectory(BoOptions::default(), 21)
+    );
 }
 
 proptest! {
