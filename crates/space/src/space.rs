@@ -43,8 +43,17 @@ pub trait SearchSpace {
 }
 
 /// An ordered collection of typed parameters plus collinearity groups.
+///
+/// A space is immutable once built, so its tables sit behind one `Arc`
+/// and a clone is a reference-count bump: every tuner, objective and
+/// served session that holds the space shares one copy.
 #[derive(Debug, Clone)]
 pub struct ConfigSpace {
+    tables: Arc<Tables>,
+}
+
+#[derive(Debug)]
+struct Tables {
     name: String,
     params: Vec<ParamDef>,
     groups: Vec<ParamGroup>,
@@ -74,41 +83,43 @@ impl ConfigSpace {
             }
         }
         ConfigSpace {
-            name: name.into(),
-            params,
-            groups,
-            by_name,
+            tables: Arc::new(Tables {
+                name: name.into(),
+                params,
+                groups,
+                by_name,
+            }),
         }
     }
 
     /// Space name.
     pub fn name(&self) -> &str {
-        &self.name
+        &self.tables.name
     }
 
     /// All parameter definitions, in index order.
     pub fn params(&self) -> &[ParamDef] {
-        &self.params
+        &self.tables.params
     }
 
     /// Number of parameters.
     pub fn len(&self) -> usize {
-        self.params.len()
+        self.params().len()
     }
 
     /// Whether the space has no parameters.
     pub fn is_empty(&self) -> bool {
-        self.params.is_empty()
+        self.params().is_empty()
     }
 
     /// The declared collinearity groups.
     pub fn groups(&self) -> &[ParamGroup] {
-        &self.groups
+        &self.tables.groups
     }
 
     /// Index of a parameter by name.
     pub fn index_of(&self, name: &str) -> Option<usize> {
-        self.by_name.get(name).copied()
+        self.tables.by_name.get(name).copied()
     }
 
     /// The parameter definition with the given name.
@@ -117,26 +128,26 @@ impl ConfigSpace {
     ///
     /// Panics if no parameter has this name.
     pub fn param(&self, name: &str) -> &ParamDef {
-        &self.params[self
+        &self.params()[self
             .index_of(name)
             .unwrap_or_else(|| panic!("unknown parameter: {name}"))]
     }
 
     /// The framework-default configuration.
     pub fn default_configuration(&self) -> Configuration {
-        Configuration::new(self.params.iter().map(|p| p.default.clone()).collect())
+        Configuration::new(self.params().iter().map(|p| p.default.clone()).collect())
     }
 
     /// Validates every value of `config` against its parameter's domain.
     pub fn validate(&self, config: &Configuration) -> Result<(), String> {
-        if config.len() != self.params.len() {
+        if config.len() != self.params().len() {
             return Err(format!(
                 "configuration has {} values, space has {} parameters",
                 config.len(),
-                self.params.len()
+                self.params().len()
             ));
         }
-        for (i, p) in self.params.iter().enumerate() {
+        for (i, p) in self.params().iter().enumerate() {
             if !p.contains(config.get(i)) {
                 return Err(format!(
                     "value {:?} out of domain for {}",
@@ -151,14 +162,14 @@ impl ConfigSpace {
     /// Covering partition for grouped permutation importance: the declared
     /// groups, plus one singleton group per ungrouped parameter.
     pub fn covering_groups(&self) -> Vec<ParamGroup> {
-        let mut grouped = vec![false; self.params.len()];
-        let mut out = self.groups.clone();
-        for g in &self.groups {
+        let mut grouped = vec![false; self.params().len()];
+        let mut out = self.groups().to_vec();
+        for g in self.groups() {
             for &m in &g.members {
                 grouped[m] = true;
             }
         }
-        for (i, p) in self.params.iter().enumerate() {
+        for (i, p) in self.params().iter().enumerate() {
             if !grouped[i] {
                 out.push(ParamGroup {
                     name: p.name.clone(),
@@ -179,9 +190,9 @@ impl ConfigSpace {
     pub fn subspace(self: &Arc<Self>, indices: &[usize], base: Configuration) -> Subspace {
         self.validate(&base)
             .unwrap_or_else(|e| panic!("invalid base configuration: {e}"));
-        let mut seen = vec![false; self.params.len()];
+        let mut seen = vec![false; self.params().len()];
         for &i in indices {
-            assert!(i < self.params.len(), "subspace index {i} out of range");
+            assert!(i < self.params().len(), "subspace index {i} out of range");
             assert!(!seen[i], "duplicate subspace index {i}");
             seen[i] = true;
         }
@@ -195,13 +206,13 @@ impl ConfigSpace {
 
 impl SearchSpace for ConfigSpace {
     fn dim(&self) -> usize {
-        self.params.len()
+        self.params().len()
     }
 
     fn decode(&self, point: &[f64]) -> Configuration {
-        assert_eq!(point.len(), self.params.len(), "point dimension mismatch");
+        assert_eq!(point.len(), self.params().len(), "point dimension mismatch");
         Configuration::new(
-            self.params
+            self.params()
                 .iter()
                 .zip(point)
                 .map(|(p, &u)| p.decode(u))
@@ -210,8 +221,8 @@ impl SearchSpace for ConfigSpace {
     }
 
     fn encode(&self, config: &Configuration) -> Vec<f64> {
-        assert_eq!(config.len(), self.params.len(), "configuration mismatch");
-        self.params
+        assert_eq!(config.len(), self.params().len(), "configuration mismatch");
+        self.params()
             .iter()
             .zip(config.values())
             .map(|(p, v)| p.encode(v))
@@ -410,6 +421,23 @@ mod tests {
                 ParamGroup { name: "b".into(), members: vec![0] },
             ],
         );
+    }
+
+    #[test]
+    fn clones_share_one_parameter_table() {
+        let s = space();
+        let c = s.clone();
+        assert!(std::ptr::eq(s.params(), c.params()));
+        assert!(std::ptr::eq(s.groups(), c.groups()));
+        assert_eq!(c.name(), "test");
+        assert_eq!(c.index_of("codec"), Some(3));
+        assert_eq!(c.covering_groups(), s.covering_groups());
+        let (full, copy) = (Arc::new(s), Arc::new(c));
+        let base = full.default_configuration();
+        let (a, b) = (full.subspace(&[1, 3], base.clone()), copy.subspace(&[1, 3], base));
+        assert_eq!(a.selected_names(), b.selected_names());
+        let p = [0.25, 0.9];
+        assert_eq!(a.decode(&p), b.decode(&p));
     }
 
     #[test]
