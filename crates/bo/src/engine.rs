@@ -17,7 +17,7 @@ use robotune_gp::model::GpModel;
 use crate::acquisition::{AcquisitionKind, ALL_ACQUISITIONS};
 use crate::error::EngineError;
 use crate::hedge::Hedge;
-use crate::optimize::{draw_candidates, refine, NegatedAcquisition, OptimizeOptions};
+use crate::optimize::{carry, draw_candidates, refine, NegatedAcquisition, OptimizeOptions};
 
 /// BO engine configuration.
 #[derive(Debug, Clone)]
@@ -62,10 +62,9 @@ impl BoOptions {
     /// These options for BO over a full, unreduced space rather than a
     /// selected subspace. The Hedge acquisitions share one candidate draw
     /// per suggest; here it holds `optimize.candidates` points per
-    /// acquisition, as many as their separate draws used to score. A
-    /// selected subspace (≤ ~10 dimensions) keeps the plain size; over
-    /// the 44-D Spark space a small shared draw lost tuning quality
-    /// (DESIGN.md, "One posterior pass per suggest").
+    /// acquisition. A selected subspace (≤ ~10 dimensions) keeps the
+    /// plain size; over the 44-D Spark space a small shared draw lost
+    /// tuning quality (DESIGN.md, "One posterior pass per suggest").
     pub fn for_full_space(mut self) -> Self {
         self.optimize.candidates *= ALL_ACQUISITIONS.len();
         self
@@ -282,7 +281,8 @@ impl BoEngine {
 
         // Reward last round's nominees under the refreshed posterior.
         // Gains use standardised units so η keeps a consistent meaning.
-        if let Some(nominees) = self.pending_nominees.take() {
+        let last_nominees = self.pending_nominees.take();
+        if let Some(nominees) = &last_nominees {
             let mean = self.ys.iter().sum::<f64>() / self.ys.len() as f64;
             let var = self
                 .ys
@@ -291,7 +291,7 @@ impl BoEngine {
                 .sum::<f64>()
                 / self.ys.len() as f64;
             let std = if var > 0.0 { var.sqrt() } else { 1.0 };
-            let preds = model.predict_batch(&nominees);
+            let preds = model.predict_batch(nominees);
             let mut rewards = [0.0; 3];
             for (r, (mu, _)) in rewards.iter_mut().zip(preds) {
                 *r = -(mu - mean) / std;
@@ -299,17 +299,25 @@ impl BoEngine {
             self.hedge.update(rewards);
         }
 
-        // All recorded observations are finite (observe() enforces it), so
-        // the plain fold is total here.
-        let best = self.ys.iter().copied().fold(f64::INFINITY, f64::min);
+        // With two or more observations there is an incumbent; all of them
+        // are finite (observe() enforces it).
+        let Some((incumbent, best)) = self.best() else {
+            return (0..self.dim).map(|_| rng.gen::<f64>()).collect();
+        };
         let (xi, kappa) = (self.opts.xi, self.opts.kappa);
         let nominees: [Vec<f64>; 3] = {
             let _acq_span = robotune_obs::span("bo.acq_opt");
             // As in scikit-optimize's `gp_hedge`, every acquisition scores
             // the same candidates, from one posterior pass; each then
-            // refines its own best few by gradient.
+            // refines its own best few by gradient. Unlike skopt, last
+            // round's nominees and the incumbent join the random draw:
+            // the posterior moved by one observation since, so they sit
+            // near this round's maxima and the draw can be small.
             let opts = &self.opts.optimize;
-            let candidates = draw_candidates(self.dim, opts, rng);
+            let mut candidates = draw_candidates(self.dim, opts, rng);
+            let drawn = candidates.len();
+            let carried = last_nominees.into_iter().flatten();
+            carry(&mut candidates, drawn, carried.chain([incumbent.to_vec()]));
             let posterior = model.predict_batch(&candidates);
             ALL_ACQUISITIONS.map(|kind| {
                 let acq = NegatedAcquisition { model, kind, best, xi, kappa };

@@ -10,7 +10,9 @@
 //!
 //! The two phases are separate calls, [`draw_candidates`] and [`refine`],
 //! so that several acquisitions can share one candidate draw and one
-//! posterior pass over it, as scikit-optimize's `gp_hedge` does.
+//! posterior pass over it, as scikit-optimize's `gp_hedge` does. Unlike
+//! scikit-optimize, [`carry`] can append points kept from the previous
+//! round to the draw, so they compete for the local phase's starts.
 
 use rand::Rng;
 use robotune_gp::bfgs::{minimize, Objective};
@@ -36,7 +38,7 @@ pub struct OptimizeOptions {
 impl Default for OptimizeOptions {
     fn default() -> Self {
         OptimizeOptions {
-            candidates: 256,
+            candidates: 128,
             refine_top: 3,
         }
     }
@@ -58,6 +60,22 @@ pub fn draw_candidates<R: Rng + ?Sized>(
     (0..opts.candidates)
         .map(|_| (0..dim).map(|_| rng.gen::<f64>()).collect())
         .collect()
+}
+
+/// Appends each `carried` point to `candidates` unless an earlier carried
+/// point (one after the first `drawn`) equals it, so a point carried
+/// twice — a nominee that became the incumbent — takes one start, not
+/// two. Consumes no randomness.
+pub fn carry(
+    candidates: &mut Vec<Vec<f64>>,
+    drawn: usize,
+    carried: impl IntoIterator<Item = Vec<f64>>,
+) {
+    for point in carried {
+        if !candidates[drawn..].contains(&point) {
+            candidates.push(point);
+        }
+    }
 }
 
 /// One acquisition under a fitted posterior, negated so that

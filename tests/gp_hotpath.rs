@@ -54,13 +54,13 @@ fn fingerprint(trajectory: &[(Vec<f64>, f64)]) -> u64 {
 }
 
 /// The fingerprints of `trajectory(BoOptions::default(), seed)` for seeds
-/// 11, 12 and 13, recorded from the serial restart path while the
-/// threaded one still existed (and matched it bit for bit). A change to
-/// the hyperfit's arithmetic, its start order or its RNG use moves them.
+/// 11, 12 and 13, recorded when the acquisition search began carrying
+/// last round's nominees. A change to the hyperfit's arithmetic, its
+/// start order, its RNG use or the acquisition search moves them.
 const TRAJECTORY_PINS: [(u64, u64); 3] = [
-    (11, 0x9bb9_b782_a65b_a10f),
-    (12, 0xd33b_3334_a19d_8dd6),
-    (13, 0x8f0b_7fb0_3351_42e2),
+    (11, 0xece9_ad97_4b16_8883),
+    (12, 0xd211_8159_d0fd_e7e6),
+    (13, 0x362b_1d8f_df42_3fce),
 ];
 
 #[test]

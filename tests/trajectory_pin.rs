@@ -54,28 +54,28 @@ const TS_TIME_BITS: [&[u64]; 2] = [
         0x4056b9f91cb7d5e5, 0x4059b449311965e3, 0x405c979a5877457c,
         0x4057307619cf6379, 0x40708228f8c2664b, 0x40662a054f419459,
         0x4051e343db4ac111, 0x40583680db1016fa, 0x405392b8642a29c9,
-        0x405a8d16ec0daa4a, 0x40561f4c9d2f2d00, 0x4056769406054dab,
-        0x405e25625fa159f5, 0x4060317387d2d5ea, 0x405a6c812744d848,
-        0x405e24a00c639251, 0x40275e1a6dc413d2, 0x4058f7e21efe2c6d,
+        0x40265bdd68774c08, 0x405b8ac56991b8d9, 0x4054bc74049afa22,
+        0x4055ddf24ebae7f4, 0x405dbb9abed64d80, 0x4060563254f3de56,
+        0x405f05c9845cb96a, 0x4059e7eadacc028b, 0x4055d3be063008cd,
     ],
     &[
-        0x405d4a0e2cb3b7a9, 0x405b0fa388e1c405, 0x405b238a95271d49,
-        0x40601458fcc25120, 0x4062dec8cacff909, 0x4062d69123d460bf,
-        0x40770b080e5521b7, 0x40770b080e5521b7, 0x4063c54259279712,
+        0x405d4a0e2cb3b7a9, 0x405b0fa388e1c405, 0x405b2395b926fed8,
+        0x405bf553fbea3657, 0x4062dec8cacff909, 0x4062d69123d460bf,
+        0x407577c4cf3b3940, 0x407577c4cf3b3940, 0x4063c54259279712,
         0x405cabd982907964, 0x4061ab7fdb08c829, 0x406391cede9f8ea4,
         0x40647fb9889faaf9, 0x406369d2461eb737, 0x4065278613d791e4,
         0x40639a8e108d6bb6, 0x4028b8fdb2d67dde, 0x40626d72e91fed7e,
         0x4064180df74ec1de, 0x405f83e7d907836c, 0x4025b82c95675726,
-        0x405ca5d00aa836f9, 0x405c5c93faa6f036, 0x4064b9047b0a0924,
-        0x40728cb4c8743ef6, 0x405f2e63b86d13a6, 0x405e093263f49963,
-        0x406046b992d7b8b6, 0x405cd70c343e654d, 0x406385d8f120c8af,
+        0x406516c6c1c2687c, 0x4063f9aff8b445b8, 0x4064b901198ed8b1,
+        0x405dc67b2a68c65f, 0x405e4636f0a1eeea, 0x4065277a827dab1d,
+        0x406203fc240f30d4, 0x405cd73b65cfcc4c, 0x405c163cac7a271a,
     ],
 ];
 /// FNV-1a over the cold session's ranked group importances (member
 /// indices and importance bits, in rank order).
 const TS_IMPORTANCE_FNV: u64 = 0x30df197c42db86a0;
 /// FNV-1a over every evaluated unit-cube point of both sessions.
-const TS_POINTS_FNV: u64 = 0xee35ffe94c2f4ff0;
+const TS_POINTS_FNV: u64 = 0xd6ef435a2290a5c9;
 
 #[test]
 fn robotune_cold_then_warm_session_is_pinned() {
@@ -122,23 +122,23 @@ fn robotune_cold_then_warm_session_is_pinned() {
 /// smooth 4-D objective, after 20 random observations.
 const BO_SEED: u64 = 11;
 const BO_Y_BITS: &[u64] = &[
-    0x3fda21e9bf4920cc, 0x3fa509dfb2c29d69, 0x3fa224cd5f0eb82d,
-    0x3f9a94a4ee48c0b4, 0x3fd213816aead4e3, 0x3f993e519aaf157b,
-    0x3f99bf8bb04a9082, 0x3fda3dabb393cd77, 0x3fe819e6f4b1ec3a,
-    0x3f98839d7a30ef39, 0x3fdc2902d041c750, 0x3f9674598e47b259,
-    0x3f961692e75915f8, 0x3f971773e6c5e7e0, 0x3f961e305aa42d79,
-    0x3f9637f9092723ac, 0x3f963133b1f1dfd9, 0x3f960dae482970d6,
-    0x3f967bc8e8fa242e, 0x3f961a0dc5d7d8aa, 0x3f9671a57c582dae,
-    0x3f964d9ff3400ecf, 0x3f967f6c6b94c41c, 0x3f9617a3a19cdb5f,
-    0x3f964f7e2f5d046f, 0x3f966bb856b3feec, 0x3f96144a9f63d344,
-    0x3f966d4745af54e6, 0x3f964c106abb2b9c, 0x3f966cf76fb7a531,
+    0x3fda21e9bf4920cc, 0x3f9ebdb15565bc48, 0x3fcfc0264277525f,
+    0x3fa630a79e246cf9, 0x3fa1268abd04742c, 0x3f9624e73fbfd9e2,
+    0x3fa2df09c8a56a88, 0x3fd55901e94b66ed, 0x3fa5688b5d236dd9,
+    0x3fa5ec81833b79bd, 0x3fda4e8b39bfa4d9, 0x3f962b589e328517,
+    0x3f96f5f787a0aa88, 0x3f96190727bb03c3, 0x3f9664b67aed235e,
+    0x3f9683a1839921cc, 0x3f962c295dab075a, 0x3f969be1beb3f46c,
+    0x3f962b0d28ee90e0, 0x3f96334ca7087156, 0x3f96950dcd037f13,
+    0x3f966854b542c410, 0x3f962b41754cbcc3, 0x3f962fb1c12f8496,
+    0x3f9676c08c40de56, 0x3f9662e2b255ab27, 0x3f962f32866f1c04,
+    0x3f962d42d937ec6e, 0x3f9660f888b4f4c1, 0x3f965d10daabfbe0,
 ];
 /// FNV-1a over every suggested point.
-const BO_POINTS_FNV: u64 = 0x423c1ddf2e1855a3;
+const BO_POINTS_FNV: u64 = 0x71b8f8fb679592bf;
 /// FNV-1a over the final model's posterior (mean, variance) bits on a
 /// fixed grid. Trajectories only move when a changed bit flips a
 /// comparison; this catches the changed bit itself.
-const BO_POSTERIOR_FNV: u64 = 0xfde5ba3b4a59a50e;
+const BO_POSTERIOR_FNV: u64 = 0x796d20b7a166c159;
 
 /// The pinned loop under `opts`: the suggested points and the observed
 /// values' bits, and the engine after it.
