@@ -11,7 +11,7 @@
 //! | `stalled_convergence`   | incumbent flat over the last half of the rounds    |
 //! | `ill_conditioned_kernel`| Cholesky condition estimate above 1e8 / 1e12       |
 //! | `fallback_storm`        | > half of GP fits fell back to default θ           |
-//! | `lengthscale_collapse`  | the GP lengthscale pinned near zero                |
+//! | `lengthscale_collapse`  | the GP lengthscale pinned at the hyperfit's floor  |
 //! | `wal_lag`               | store WAL lag above threshold or shard degraded    |
 //! | `slo_burn`              | rolling suggest p99 above the SLO target           |
 //!
@@ -19,6 +19,7 @@
 //! an assertion (exit 1 unless every expected rule fired), which is how
 //! the CI smoke job proves the detectors catch seeded pathologies.
 
+use robotune_gp::HyperFitOptions;
 use robotune_service::TuningClient;
 use serde_json::{Map, Value};
 
@@ -63,8 +64,9 @@ const COND_CRIT: f64 = 1e12;
 /// Fallback-storm ratio over at least this many fits.
 const FALLBACK_RATIO: f64 = 0.5;
 const FALLBACK_MIN_FITS: u64 = 4;
-/// A lengthscale at the collapse floor.
-const LENGTHSCALE_FLOOR: f64 = 1e-3;
+/// A lengthscale within this factor of the hyperfit's lower bound on ℓ
+/// counts as pinned there.
+const LENGTHSCALE_MARGIN: f64 = 1.05;
 /// Rounds needed before flat-incumbent detection means anything.
 const STALL_MIN_ROUNDS: usize = 6;
 /// Store WAL lag (unflushed appends) considered unhealthy.
@@ -120,12 +122,17 @@ pub fn run_session_rules(diag: &Value) -> Vec<Finding> {
     // lengthscale_collapse: a lengthscale pinned at the floor means the
     // kernel treats the inputs as pure noise — usually a scaling bug or a
     // degenerate observation set.
+    // The floor is the default hyperfit box's lower bound on ℓ, e^−4 ≈
+    // 0.018, plus 5%: a fit pinned there reads the bound itself.
     if let Some(ls) = summary["gp_min_lengthscale"].as_f64() {
-        if ls < LENGTHSCALE_FLOOR {
+        let floor = HyperFitOptions::default().log_length_bounds.0.exp() * LENGTHSCALE_MARGIN;
+        if ls < floor {
             findings.push(Finding {
                 rule: "lengthscale_collapse",
                 severity: Severity::Warning,
-                message: format!("minimum lengthscale {ls:.3e} is below {LENGTHSCALE_FLOOR:e}"),
+                message: format!(
+                    "minimum lengthscale {ls:.3e} is at the hyperfit's floor (below {floor:.3e})"
+                ),
             });
         }
     }
@@ -477,6 +484,21 @@ mod tests {
             rules_fired(&run_session_rules(&diag), "lengthscale_collapse"),
             vec![Severity::Warning]
         );
+    }
+
+    #[test]
+    fn lengthscale_collapse_fires_at_the_hyperfit_box_floor() {
+        let fired = |ls: f64| {
+            let diag = diag_payload(
+                serde_json::json!({
+                    "gp_fits": 2u64, "gp_fallbacks": 0u64, "gp_min_lengthscale": ls,
+                }),
+                &[],
+            );
+            rules_fired(&run_session_rules(&diag), "lengthscale_collapse")
+        };
+        assert_eq!(fired((-4.0f64).exp()), vec![Severity::Warning]);
+        assert!(fired(0.5).is_empty());
     }
 
     #[test]

@@ -738,7 +738,7 @@ pub fn run_loadgen(args: &LoadgenArgs) -> Result<LoadgenReport, String> {
     }
 
     let arrivals = match args.rate {
-        Some(rate) => format!("at {rate:.0}/s ({:.1}s ramp)", ramp.as_secs_f64()),
+        Some(rate) => format!("at {rate}/s ({:.1}s ramp)", ramp.as_secs_f64()),
         None => "all at once".into(),
     };
     let hold = match args.hold_s {
